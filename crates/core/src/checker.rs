@@ -15,6 +15,7 @@ use std::collections::HashMap;
 
 use crate::calibration::coverage_by_machine;
 use crate::instance::Instance;
+use crate::job::Job;
 use crate::schedule::Schedule;
 use crate::types::{JobId, MachineId, Time};
 
@@ -147,12 +148,17 @@ pub fn check_schedule(instance: &Instance, schedule: &Schedule) -> Result<(), Ch
         .collect();
     let coverage = coverage_by_machine(&valid_cals, p, instance.cal_len());
 
-    // Assignment-level rules.
+    // Assignment-level rules. Jobs are indexed by id once: `Instance::job`
+    // is a linear scan, and one per assignment makes the check quadratic.
+    let mut by_id: HashMap<JobId, &Job> = HashMap::with_capacity(instance.n());
+    for job in instance.jobs() {
+        by_id.entry(job.id).or_insert(job);
+    }
     let mut seen: HashMap<JobId, u32> = HashMap::new();
     let mut slots: HashMap<(MachineId, Time), JobId> = HashMap::new();
     for a in &schedule.assignments {
         *seen.entry(a.job).or_insert(0) += 1;
-        let job = match instance.job(a.job) {
+        let job = match by_id.get(&a.job) {
             Some(j) => j,
             None => {
                 violations.push(Violation::UnknownJob(a.job));

@@ -209,10 +209,13 @@ impl Json {
     }
 
     /// Strict parse of one JSON document (trailing whitespace allowed).
+    /// Arrays and objects nested deeper than [`MAX_DEPTH`] are an error,
+    /// so no input can exhaust the parsing thread's stack.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -262,9 +265,18 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap one line of 500k `[` would
+/// overflow the stack and abort the process. The documents this workspace
+/// writes nest only a few levels; 128 keeps the recursion far inside even
+/// a 2 MiB thread stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -312,8 +324,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
         }
@@ -773,6 +796,20 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays: fn(usize) -> String = |depth| "[".repeat(depth) + &"]".repeat(depth);
+        let objects: fn(usize) -> String =
+            |depth| "{\"k\":".repeat(depth - 1) + "{}" + &"}".repeat(depth - 1);
+        for nested in [arrays, objects] {
+            assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+            let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        // Far past the cap (and unterminated): an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(500_000)).is_err());
     }
 
     #[test]

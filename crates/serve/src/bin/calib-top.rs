@@ -8,7 +8,8 @@
 //! Polls the daemon's tenant-less `metrics` request over TCP and renders
 //! the registry as a per-tenant table: decisions per second (from
 //! successive polls), inbox queue depth and high water, reconnects, busy
-//! drops, and fsync latency percentiles, plus a daemon-wide header line.
+//! drops, and fsync latency percentiles, plus a daemon-wide header line
+//! (including replies per flush, the mean size of a worker's reply batch).
 //! `--once` prints a single snapshot without clearing the screen (for
 //! scripts); `--iterations N` stops after N polls; `--check` additionally
 //! verifies that the daemon-wide decision counter equals the sum of the
@@ -102,6 +103,18 @@ fn percentile_cell(v: Option<&Json>) -> String {
     }
 }
 
+/// Mean replies carried by one flush (workers flush once per batch), to
+/// two decimals; `-` before the first flush.
+fn replies_per_flush(global: &Json) -> String {
+    match field_u64(global, "reply_flushes") {
+        0 => "-".to_string(),
+        flushes => {
+            let hundredths = u128::from(field_u64(global, "replies")) * 100 / u128::from(flushes);
+            format!("{}.{:02}", hundredths / 100, hundredths % 100)
+        }
+    }
+}
+
 /// Whole decisions per second from a counter delta over `elapsed`.
 fn rate_per_sec(delta: u64, elapsed: Duration) -> u64 {
     let millis = u64::try_from(elapsed.as_millis())
@@ -140,9 +153,10 @@ fn render(snapshot: &Json, prev: Option<&Frame>, now: Instant, out: &mut impl Wr
     let _ = writeln!(out, "calib-top | {global_line}");
     let _ = writeln!(
         out,
-        "fsync us p50/p95/p99 {} | request us p50/p95/p99 {}",
+        "fsync us p50/p95/p99 {} | request us p50/p95/p99 {} | replies/flush {}",
         percentile_cell(snapshot.get("fsync_micros")),
         percentile_cell(snapshot.get("request_micros")),
+        g.map_or("-".to_string(), replies_per_flush),
     );
     render_router(snapshot, out);
     let _ = writeln!(

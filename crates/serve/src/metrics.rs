@@ -184,6 +184,12 @@ pub struct ServeMetrics {
     pub adoptions: AtomicU64,
     /// Tenants drained, checkpointed, and removed via `evict`.
     pub evictions: AtomicU64,
+    /// Reply lines written to connections.
+    pub replies: AtomicU64,
+    /// Flushes that pushed at least one written reply to its peer; a
+    /// worker flushes once per batch, so `replies / reply_flushes` is the
+    /// mean batch size.
+    pub reply_flushes: AtomicU64,
     /// Worker time per processed request, microseconds.
     pub request_micros: LogHistogram,
     /// Wall-clock journal-append cost, microseconds, all tenants.
@@ -370,6 +376,11 @@ impl ServeMetrics {
             (
                 "evictions",
                 self.evictions.load(Ordering::Relaxed).to_json(),
+            ),
+            ("replies", self.replies.load(Ordering::Relaxed).to_json()),
+            (
+                "reply_flushes",
+                self.reply_flushes.load(Ordering::Relaxed).to_json(),
             ),
             ("tenants_open", self.open_tenants().to_json()),
         ]);

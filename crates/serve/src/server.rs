@@ -12,8 +12,9 @@
 //!   is empty again — so each tenant's requests are processed strictly in
 //!   arrival order, one at a time, while distinct tenants run in parallel
 //!   across the pool.
-//! * Replies go through a per-connection mutexed writer; reader threads
-//!   write `busy` and parse errors directly, workers write everything else.
+//! * Replies go through a per-connection mutexed, buffered writer; reader
+//!   threads write and flush `busy` and parse errors directly, workers
+//!   write everything else and flush once per batch (see [`worker_loop`]).
 //!
 //! ## Backpressure
 //!
@@ -165,14 +166,32 @@ impl ServeReport {
 }
 
 /// A shared, mutex-guarded line sink for one connection's replies.
+///
+/// Replies are written into the connection's buffered writer and reach
+/// the peer on [`ReplySink::flush`]. Reader threads answer inline with
+/// [`ReplySink::send`] (write + flush); workers write each reply and flush
+/// once per batch (see [`worker_loop`]).
 struct ReplySink {
-    writer: Mutex<Option<Box<dyn Write + Send>>>,
+    writer: Mutex<Option<SinkWriter>>,
+}
+
+/// A live connection's writer.
+struct SinkWriter {
+    out: Box<dyn Write + Send>,
+    /// At least one reply was written since the last flush.
+    unflushed: bool,
+    /// Counts replies and flushes (`replies`, `reply_flushes`).
+    metrics: Arc<ServeMetrics>,
 }
 
 impl ReplySink {
-    fn new(writer: Box<dyn Write + Send>) -> ReplySink {
+    fn new(out: Box<dyn Write + Send>, metrics: &Arc<ServeMetrics>) -> ReplySink {
         ReplySink {
-            writer: Mutex::new(Some(writer)),
+            writer: Mutex::new(Some(SinkWriter {
+                out,
+                unflushed: false,
+                metrics: Arc::clone(metrics),
+            })),
         }
     }
 
@@ -184,21 +203,45 @@ impl ReplySink {
         }
     }
 
-    /// Writes one reply line. Write errors mean the peer is gone; the sink
-    /// shuts itself off and the reader thread notices on its side.
+    /// Writes one reply line and flushes it to the peer.
     fn send(&self, reply: &Reply) {
+        self.write(reply);
+        self.flush();
+    }
+
+    /// Writes one reply line into the connection's buffer without flushing
+    /// it. Write errors mean the peer is gone; the sink shuts itself off
+    /// and the reader thread notices on its side.
+    fn write(&self, reply: &Reply) {
+        let line = reply.to_line();
         // The writer lock IS the reply serialization point — it must span
         // the whole line write so concurrent replies never interleave.
         // lint:allow(lock-discipline): deliberate hold across the write
-        let mut guard = match self.writer.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut guard = lock(&self.writer);
         if let Some(w) = guard.as_mut() {
-            let line = reply.to_line();
-            if w.write_all(line.as_bytes()).is_err() || w.flush().is_err() {
+            if w.out.write_all(line.as_bytes()).is_err() {
                 *guard = None;
+                return;
             }
+            w.unflushed = true;
+            w.metrics.replies.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Pushes every reply written so far to the peer; a no-op when none
+    /// is pending (another thread's flush already carried it).
+    fn flush(&self) {
+        // Same serialization point as `write`: a flush must not interleave
+        // with a half-written line.
+        // lint:allow(lock-discipline): deliberate hold across the flush
+        let mut guard = lock(&self.writer);
+        if let Some(w) = guard.as_mut().filter(|w| w.unflushed) {
+            if w.out.flush().is_err() {
+                *guard = None;
+                return;
+            }
+            w.unflushed = false;
+            w.metrics.reply_flushes.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -604,7 +647,7 @@ fn report(shared: &Shared) -> ServeReport {
 
 /// Reads request lines from one connection until EOF, routing them.
 fn run_connection(shared: &Shared, conn: u64, input: impl Read, output: Box<dyn Write + Send>) {
-    let sink = Arc::new(ReplySink::new(output));
+    let sink = Arc::new(ReplySink::new(output, &shared.metrics));
     let mut reader = BufReader::new(input);
     let mut line = String::new();
     loop {
@@ -1198,6 +1241,11 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let Some(tenant) = tenant else { return };
+        // The sink of the last processed request while its reply is still
+        // unflushed. The batch is flushed when the inbox runs empty or the
+        // next request answers on another connection, so no reply is held
+        // once this worker lets go of the tenant.
+        let mut unflushed: Option<Arc<ReplySink>> = None;
         loop {
             let next = {
                 let mut inbox = lock(&tenant.inbox);
@@ -1214,6 +1262,11 @@ fn worker_loop(shared: &Shared) {
                     }
                 }
             };
+            if let Some(prev) = unflushed.take() {
+                if !matches!(&next, Some((_, sink)) if Arc::ptr_eq(sink, &prev)) {
+                    prev.flush();
+                }
+            }
             let Some((request, sink)) = next else { break };
             // An admitted work-bearing request holds its in-flight slot
             // until the worker finishes it, whatever the outcome.
@@ -1222,6 +1275,7 @@ fn worker_loop(shared: &Shared) {
             if gated {
                 shared.admission.complete(&tenant.name);
             }
+            unflushed = Some(sink);
         }
     }
 }
@@ -1311,14 +1365,14 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
         // client reconnects and resumes against the new owner.
         drop(session_slot);
         if shared.tenant_moved(&tenant.name) {
-            sink.send(&Reply::error(
+            sink.write(&Reply::error(
                 CODE_TENANT_MOVED,
                 format!("tenant `{}` was migrated to another shard", tenant.name),
                 Some(&tenant.name),
                 seq,
             ));
         } else {
-            sink.send(&Reply::error(
+            sink.write(&Reply::error(
                 "unknown-tenant",
                 format!("tenant `{}` is closed", tenant.name),
                 Some(&tenant.name),
@@ -1335,13 +1389,13 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
         SeqCheck::Duplicate if !matches!(request, Request::Stats { .. }) => {
             let reply = duplicate_reply(&request, session, &name);
             drop(session_slot);
-            sink.send(&reply);
+            sink.write(&reply);
             return;
         }
         SeqCheck::Duplicate => {}
         SeqCheck::Gap { got, last } => {
             drop(session_slot);
-            sink.send(&Reply::error(
+            sink.write(&Reply::error(
                 "seq-gap",
                 format!(
                     "request seq {got} skips ahead of the session's last seq {last}; \
@@ -1473,7 +1527,7 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
             shared.admission.deregister(&tenant.name);
             tenant.metrics.open.store(false, Ordering::Relaxed);
             shared.metrics.evictions.fetch_add(1, Ordering::Relaxed);
-            sink.send(&Reply::Evicted {
+            sink.write(&Reply::Evicted {
                 state: Box::new(state),
                 seq,
             });
@@ -1500,7 +1554,7 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
             tenant.metrics.set_totals(accounting.flow, accounting.cost);
             tenant.metrics.open.store(false, Ordering::Relaxed);
             lock(&shared.accountings).push(accounting.clone());
-            sink.send(&Reply::Goodbye { accounting, seq });
+            sink.write(&Reply::Goodbye { accounting, seq });
             return;
         }
     };
@@ -1521,7 +1575,7 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
         }
     }
     drop(session_slot);
-    sink.send(&reply);
+    sink.write(&reply);
 }
 
 #[cfg(test)]
@@ -1689,6 +1743,193 @@ mod tests {
         assert_eq!(
             replies[2].get("type").and_then(Json::as_str),
             Some("goodbye")
+        );
+    }
+
+    #[test]
+    fn deep_nesting_is_bad_json_and_the_stream_keeps_serving() {
+        let deep = "[".repeat(500_000);
+        let replies = transcript(&[&deep, r#"{"type":"ping","seq":1}"#]);
+        assert_eq!(replies.len(), 2, "{replies:?}");
+        assert_eq!(
+            replies[0].get("code").and_then(Json::as_str),
+            Some("bad-json")
+        );
+        assert_eq!(replies[1].get("type").and_then(Json::as_str), Some("pong"));
+    }
+
+    /// What a scripted peer has seen of the reply stream.
+    #[derive(Default)]
+    struct Peer {
+        written: Vec<u8>,
+        /// Reply lines the peer has received (written before a flush).
+        flushed_lines: usize,
+        flushes: usize,
+        /// The server has read the whole script (its next read saw EOF).
+        input_done: bool,
+        /// A lock-step line waited out its timeout for the previous reply.
+        stalled: bool,
+    }
+
+    type PeerState = Arc<(Mutex<Peer>, Condvar)>;
+
+    const PEER_TIMEOUT: Duration = Duration::from_secs(10);
+
+    /// The reply half of a scripted peer. With `slow_drain`, every flush
+    /// after the first waits until the server has read the whole script,
+    /// so the requests behind it are queued by the time the worker resumes.
+    struct PeerWriter {
+        state: PeerState,
+        slow_drain: bool,
+    }
+
+    impl Write for PeerWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            lock(&self.state.0).written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            let (m, cv) = &*self.state;
+            let mut peer = lock(m);
+            if self.slow_drain && peer.flushes > 0 {
+                peer = cv
+                    .wait_timeout_while(peer, PEER_TIMEOUT, |p| !p.input_done)
+                    .expect("peer lock")
+                    .0;
+            }
+            peer.flushes += 1;
+            peer.flushed_lines = peer.written.iter().filter(|&&b| b == b'\n').count();
+            cv.notify_all();
+            Ok(())
+        }
+    }
+
+    /// The request half of a scripted peer: each chunk is handed over in
+    /// one read. With `lock_step`, chunk k (one line) is handed over only
+    /// once k replies have been flushed.
+    struct PeerReader {
+        state: PeerState,
+        chunks: Vec<String>,
+        next: usize,
+        lock_step: bool,
+    }
+
+    impl Read for PeerReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let (m, cv) = &*self.state;
+            let mut peer = lock(m);
+            if self.lock_step {
+                let want = self.next;
+                let (p, waited) = cv
+                    .wait_timeout_while(peer, PEER_TIMEOUT, |p| p.flushed_lines < want)
+                    .expect("peer lock");
+                peer = p;
+                if waited.timed_out() {
+                    peer.stalled = true;
+                    return Ok(0);
+                }
+            }
+            let Some(chunk) = self.chunks.get(self.next) else {
+                peer.input_done = true;
+                cv.notify_all();
+                return Ok(0);
+            };
+            assert!(
+                chunk.len() <= buf.len(),
+                "chunk larger than the read buffer"
+            );
+            buf[..chunk.len()].copy_from_slice(chunk.as_bytes());
+            self.next += 1;
+            Ok(chunk.len())
+        }
+    }
+
+    /// One tenant's session: every line gets exactly one reply, and no
+    /// reply depends on timing.
+    fn scripted_session() -> Vec<String> {
+        let mut lines = vec![
+            r#"{"type":"hello","tenant":"p","machines":1,"cal_len":3,"cal_cost":2,"algorithm":"alg2","seq":0}"#
+                .to_string(),
+        ];
+        let mut seq = 1;
+        for t in 0..6u64 {
+            lines.push(format!(
+                r#"{{"type":"arrive","tenant":"p","jobs":[{{"id":{t},"release":{},"weight":{}}}],"seq":{seq}}}"#,
+                2 * t,
+                1 + t % 3
+            ));
+            lines.push(format!(
+                r#"{{"type":"tick","tenant":"p","now":{},"seq":{}}}"#,
+                2 * t + 1,
+                seq + 1
+            ));
+            seq += 2;
+        }
+        lines.push(format!(r#"{{"type":"drain","tenant":"p","seq":{seq}}}"#));
+        lines.push(format!(
+            r#"{{"type":"bye","tenant":"p","seq":{}}}"#,
+            seq + 1
+        ));
+        lines.into_iter().map(|l| l + "\n").collect()
+    }
+
+    /// Serves `lines` to a lock-step peer (one line per read, each after
+    /// the previous reply), or to a pipelining peer that sends every line
+    /// in one read and drains its replies slowly.
+    fn run_peer(lines: &[String], lock_step: bool) -> Peer {
+        let state: PeerState = Arc::default();
+        let reader = PeerReader {
+            state: Arc::clone(&state),
+            chunks: if lock_step {
+                lines.to_vec()
+            } else {
+                vec![lines.concat()]
+            },
+            next: 0,
+            lock_step,
+        };
+        let writer = PeerWriter {
+            state: Arc::clone(&state),
+            slow_drain: !lock_step,
+        };
+        let report = serve_stream(
+            reader,
+            Box::new(writer),
+            ServerConfig {
+                workers: 2,
+                ..Default::default()
+            },
+        );
+        assert!(report.all_ok(), "accountings: {:?}", report.accountings);
+        let peer = std::mem::take(&mut *lock(&state.0));
+        peer
+    }
+
+    #[test]
+    fn lock_step_peer_gets_each_reply_before_its_next_line() {
+        let lines = scripted_session();
+        let peer = run_peer(&lines, true);
+        assert!(!peer.stalled, "a reply was held after its worker went idle");
+        assert_eq!(peer.flushed_lines, lines.len());
+        assert_eq!(peer.flushes, lines.len(), "one flush per lock-step reply");
+    }
+
+    #[test]
+    fn pipelined_requests_share_flushes_and_keep_the_bytes() {
+        let lines = scripted_session();
+        let lock_step = run_peer(&lines, true);
+        let pipelined = run_peer(&lines, false);
+        assert_eq!(
+            String::from_utf8(pipelined.written).unwrap(),
+            String::from_utf8(lock_step.written).unwrap()
+        );
+        assert_eq!(pipelined.flushed_lines, lines.len());
+        assert!(
+            pipelined.flushes < lines.len(),
+            "{} flushes for {} replies",
+            pipelined.flushes,
+            lines.len()
         );
     }
 }

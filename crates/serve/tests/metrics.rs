@@ -218,6 +218,11 @@ fn metrics_request_matches_exact_accounting() {
             // (no journal), requests always.
             assert!(u64_field(snapshot.get("request_micros").unwrap(), "count") > 0);
             assert_eq!(u64_field(snapshot.get("fsync_micros").unwrap(), "count"), 0);
+            // These clients wait for every reply before the next request,
+            // so each reply written so far went out in a flush of its own.
+            let replies = u64_field(global, "replies");
+            assert!(replies > 0);
+            assert_eq!(u64_field(global, "reply_flushes"), replies);
 
             send_line(
                 &mut stream,

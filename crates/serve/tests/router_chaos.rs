@@ -617,3 +617,35 @@ fn sharded_serving_is_exact_and_metrics_merge() {
     daemon_b.kill().expect("stop shard B");
     daemon_b.wait().expect("reap shard B");
 }
+
+/// A line nested 500k deep gets the typed `bad-json` error from the router
+/// itself, and the same connection keeps being served. The router parses
+/// on a spawned thread's stack, so without the parser's depth cap this
+/// line aborts the whole process. No shard is contacted for either line.
+#[test]
+fn deep_nesting_is_bad_json_through_the_router() {
+    let (router_addr, _config) = spawn_router(vec!["127.0.0.1:1".to_string()], 1);
+    let mut stream = TcpStream::connect(&router_addr).expect("connect router");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let deep = "[".repeat(500_000);
+    stream
+        .write_all(format!("{deep}\n{{\"type\":\"ping\",\"seq\":1}}\n").as_bytes())
+        .expect("send lines");
+    let mut reader = BufReader::new(&stream);
+    let mut reply = |expect_type: &str| {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply");
+        let v = Json::parse(line.trim()).expect("reply json");
+        assert_eq!(
+            v.get("type").and_then(Json::as_str),
+            Some(expect_type),
+            "{line}"
+        );
+        v
+    };
+    let err = reply("error");
+    assert_eq!(err.get("code").and_then(Json::as_str), Some("bad-json"));
+    reply("pong");
+}
