@@ -5,6 +5,11 @@
 //! a pretty writer, a strict parser, and [`ToJson`]/[`FromJson`] traits with
 //! hand-written impls for the core model types.
 //!
+//! Hot serializers skip the tree: [`ObjWriter`] streams one object's
+//! fields straight into a `String`, byte-identical to the compact
+//! rendering of the same [`Json::Obj`], and [`push_uint`]/[`push_int`]
+//! are the integer formatter both paths share.
+//!
 //! Numbers are kept **exact**: integers round-trip through dedicated
 //! `i128`/`u128` variants (the workspace's `Cost` type is `u128`, far beyond
 //! `f64`'s 53-bit exactness), and floats are only used when the text form
@@ -157,8 +162,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(v) => out.push_str(&v.to_string()),
-            Json::UInt(v) => out.push_str(&v.to_string()),
+            Json::Int(v) => push_int(out, *v),
+            Json::UInt(v) => push_uint(out, *v),
             Json::Float(v) => {
                 if v.is_finite() {
                     // Guarantee a re-parseable float form (keep a `.`/`e`).
@@ -171,7 +176,7 @@ impl Json {
                     out.push_str("null"); // JSON has no NaN/Inf
                 }
             }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => write_json_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -193,7 +198,7 @@ impl Json {
                         out.push(',');
                     }
                     newline_indent(out, indent, depth + 1);
-                    write_escaped(out, k);
+                    write_json_string(out, k);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -244,11 +249,12 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 /// exactly the form [`Json::to_string_compact`] emits — so callers
 /// serializing large documents by hand stay byte-compatible.
 pub fn write_json_string(out: &mut String, s: &str) {
-    write_escaped(out, s);
-}
-
-fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -263,6 +269,149 @@ fn write_escaped(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// Appends `v` in decimal. At tens of thousands of integers per
+/// checkpoint line, `write!`'s formatting machinery costs several times
+/// the digits themselves; `u128` division is a library call, so digits
+/// switch to `u64` arithmetic as soon as the rest fits.
+#[inline]
+pub fn push_uint(out: &mut String, v: u128) {
+    let mut buf = [0u8; 39];
+    let mut i = buf.len();
+    let mut wide = v;
+    let mut rest = loop {
+        match u64::try_from(wide) {
+            Ok(rest) => break rest,
+            Err(_) => {
+                i -= 1;
+                buf[i] = b'0' + u8::try_from(wide % 10).unwrap_or(0);
+                wide /= 10;
+            }
+        }
+    };
+    loop {
+        i -= 1;
+        buf[i] = b'0' + u8::try_from(rest % 10).unwrap_or(0);
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).unwrap_or(""));
+}
+
+/// Appends `v` in decimal; see [`push_uint`].
+#[inline]
+pub fn push_int(out: &mut String, v: i128) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_uint(out, v.unsigned_abs());
+}
+
+/// Streams one JSON object into a `String`, field by field, producing
+/// exactly the bytes [`Json::to_string_compact`] gives for the
+/// equivalent [`Json::Obj`] without building the tree. Fields appear in
+/// call order; [`ObjWriter::finish`] closes the object.
+#[derive(Debug)]
+pub struct ObjWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn new(out: &'a mut String) -> ObjWriter<'a> {
+        out.push('{');
+        ObjWriter { out, empty: true }
+    }
+
+    /// Writes `key` and its colon and returns the buffer, which must
+    /// receive exactly one JSON value next.
+    pub fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_json_string(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A string field.
+    pub fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        write_json_string(self.key(key), v);
+        self
+    }
+
+    /// A field of any unsigned integer type.
+    pub fn uint(&mut self, key: &str, v: impl TryInto<u128>) -> &mut Self {
+        push_uint(self.key(key), v.try_into().unwrap_or(u128::MAX));
+        self
+    }
+
+    /// A field of any signed integer type.
+    pub fn int(&mut self, key: &str, v: impl Into<i128>) -> &mut Self {
+        push_int(self.key(key), v.into());
+        self
+    }
+
+    /// An unsigned integer field, left out when `v` is `None`.
+    pub fn opt_uint(&mut self, key: &str, v: Option<impl TryInto<u128>>) -> &mut Self {
+        if let Some(v) = v {
+            self.uint(key, v);
+        }
+        self
+    }
+
+    /// A signed integer field, left out when `v` is `None`.
+    pub fn opt_int(&mut self, key: &str, v: Option<impl Into<i128>>) -> &mut Self {
+        if let Some(v) = v {
+            self.int(key, v);
+        }
+        self
+    }
+
+    /// A boolean field.
+    pub fn bool(&mut self, key: &str, v: bool) -> &mut Self {
+        self.key(key).push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    /// A field holding an already-built [`Json`] value.
+    pub fn value(&mut self, key: &str, v: &Json) -> &mut Self {
+        v.write(self.key(key), None, 0);
+        self
+    }
+
+    /// A nested object field; finish it before writing to `self` again.
+    pub fn obj(&mut self, key: &str) -> ObjWriter<'_> {
+        ObjWriter::new(self.key(key))
+    }
+
+    /// Closes the object.
+    pub fn finish(self) {
+        self.out.push('}');
+    }
+}
+
+/// Longest prefix of client input an error message quotes back. The
+/// input is bounded only by the line cap, and a reply that echoed a
+/// 500k-digit number whole would be as long as the number.
+pub const MAX_ECHO_BYTES: usize = 40;
+
+/// `s` for quoting in an error message: at most [`MAX_ECHO_BYTES`]
+/// bytes, cut at a char boundary, with `…` marking a cut.
+pub fn clip_echo(s: &str) -> String {
+    if s.len() <= MAX_ECHO_BYTES {
+        return s.to_string();
+    }
+    let mut end = MAX_ECHO_BYTES;
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("{}…", s.get(..end).unwrap_or(""))
 }
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser
@@ -378,7 +527,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             if seen.insert(key.clone(), ()).is_some() {
-                return Err(self.err(format!("duplicate object key `{key}`")));
+                return Err(self.err(format!("duplicate object key `{}`", clip_echo(&key))));
             }
             self.skip_ws();
             self.expect(b':')?;
@@ -486,20 +635,20 @@ impl<'a> Parser<'a> {
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)
-                .map_err(|_| self.err(format!("invalid number `{text}`")))
+                .map_err(|_| self.err(format!("invalid number `{}`", clip_echo(text))))
         } else if let Some(stripped) = text.strip_prefix('-') {
             if stripped.is_empty() {
                 return Err(self.err("lone `-` is not a number"));
             }
             text.parse::<i128>()
                 .map(Json::Int)
-                .map_err(|_| self.err(format!("integer out of range `{text}`")))
+                .map_err(|_| self.err(format!("integer out of range `{}`", clip_echo(text))))
         } else if text.is_empty() {
             Err(self.err("expected a number"))
         } else {
             text.parse::<u128>()
                 .map(Json::UInt)
-                .map_err(|_| self.err(format!("integer out of range `{text}`")))
+                .map_err(|_| self.err(format!("integer out of range `{}`", clip_echo(text))))
         }
     }
 }
@@ -810,6 +959,89 @@ mod tests {
         }
         // Far past the cap (and unterminated): an error, not a stack overflow.
         assert!(Json::parse(&"[".repeat(500_000)).is_err());
+    }
+
+    #[test]
+    fn integer_formatter_matches_display() {
+        for v in [
+            0,
+            9,
+            10,
+            u128::from(u64::MAX),
+            u128::from(u64::MAX) + 1,
+            u128::MAX,
+        ] {
+            let mut out = String::new();
+            push_uint(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+        for v in [
+            0,
+            -1,
+            i128::from(i64::MIN),
+            i128::from(i64::MAX),
+            i128::MIN,
+            i128::MAX,
+        ] {
+            let mut out = String::new();
+            push_int(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+    }
+
+    #[test]
+    fn obj_writer_matches_the_tree_renderer() {
+        let mut out = String::new();
+        let mut w = ObjWriter::new(&mut out);
+        w.str("name", "plain")
+            .str("k\"ey", "a\"b\\c\nd\u{1}é")
+            .uint("big", u128::MAX)
+            .uint("len", usize::MAX)
+            .int("min", i64::MIN)
+            .opt_uint("absent", None::<u64>)
+            .opt_int("now", Some(-3i64))
+            .bool("ok", false)
+            .value("tree", &Json::Arr(vec![Json::Float(0.0), Json::Null]));
+        let mut inner = w.obj("nested");
+        inner.uint("seq", 1u64);
+        inner.finish();
+        w.obj("empty").finish();
+        w.finish();
+        let tree = Json::Obj(vec![
+            ("name".into(), Json::Str("plain".into())),
+            ("k\"ey".into(), Json::Str("a\"b\\c\nd\u{1}é".into())),
+            ("big".into(), Json::UInt(u128::MAX)),
+            ("len".into(), usize::MAX.to_json()),
+            ("min".into(), i64::MIN.to_json()),
+            ("now".into(), Json::Int(-3)),
+            ("ok".into(), Json::Bool(false)),
+            ("tree".into(), Json::Arr(vec![Json::Float(0.0), Json::Null])),
+            ("nested".into(), Json::obj([("seq", Json::UInt(1))])),
+            ("empty".into(), Json::Obj(vec![])),
+        ]);
+        assert_eq!(out, tree.to_string_compact());
+    }
+
+    #[test]
+    fn error_messages_quote_at_most_a_clipped_prefix() {
+        let digits = "7".repeat(500_000);
+        for line in [
+            digits.clone(),
+            format!("-{digits}"),
+            format!("{digits}.e"),
+            format!("{{\"{digits}\":1,\"{digits}\":2}}"),
+        ] {
+            let err = Json::parse(&line).unwrap_err();
+            assert!(err.message.len() < 100, "{} bytes", err.message.len());
+            assert!(
+                err.message.contains(&"7".repeat(MAX_ECHO_BYTES - 1)),
+                "{err}"
+            );
+        }
+        // The cut lands on a char boundary, never inside `é`.
+        let clipped = clip_echo(&"é".repeat(MAX_ECHO_BYTES));
+        assert_eq!(clipped, format!("{}…", "é".repeat(MAX_ECHO_BYTES / 2)));
+        assert_eq!(clip_echo("short"), "short");
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //!   the replay path — `apply_record` or `replay_with_report` — so a new
 //!   record kind cannot be written but silently skipped (or crash) on
 //!   recovery.
-//! * Every `CheckpointState` field's wire key appears in *both* snapshot
-//!   serializers (`to_json` for replies, `write_fields` for the journal's
-//!   hand-rolled writer) *and* in the parser (`from_json`).
+//! * Every `CheckpointState` field's wire key appears in both its writer
+//!   (`write_json`, shared by `evicted` replies and journal checkpoints)
+//!   and its parser (`from_json`).
 //! * Every `EngineSnapshot` field (defined cross-crate in
-//!   `online/src/engine.rs`) likewise appears in `engine_json`,
-//!   `write_engine`, and `engine_from_json`.
+//!   `online/src/engine.rs`) likewise appears in `write_engine` and
+//!   `engine_from_json`.
 //!
 //! Field presence is a quoted-key containment check: the serializer must
 //! contain a string literal equal to the wire key or containing
@@ -159,8 +159,7 @@ pub fn check(ctx: &SemContext<'_>) -> Vec<Finding> {
             "CheckpointState",
             protocol,
             &[
-                ("to_json", Some("CheckpointState")),
-                ("write_fields", Some("CheckpointState")),
+                ("write_json", Some("CheckpointState")),
                 ("from_json", Some("CheckpointState")),
             ],
             checkpoint_wire_keys,
@@ -171,11 +170,7 @@ pub fn check(ctx: &SemContext<'_>) -> Vec<Finding> {
                 engine,
                 "EngineSnapshot",
                 protocol,
-                &[
-                    ("engine_json", None),
-                    ("write_engine", None),
-                    ("engine_from_json", None),
-                ],
+                &[("write_engine", None), ("engine_from_json", None)],
                 |f| vec![f],
                 &mut findings,
             );

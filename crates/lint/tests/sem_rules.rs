@@ -298,10 +298,7 @@ pub struct CheckpointState {
     pub cost: u128,
 }
 impl CheckpointState {
-    pub fn to_json(&self) -> String {
-        format!("{{\"now\":{},\"total_cost\":{}}}", self.now, self.cost)
-    }
-    pub fn write_fields(&self, out: &mut String) {
+    pub fn write_json(&self, out: &mut String) {
         out.push_str("\"now\":");
         out.push_str("\"total_cost\":");
     }
@@ -317,4 +314,32 @@ impl CheckpointState {
     let findings = check_files(&files, None, Some("`error`".to_string()));
     let l9 = rules_of(&findings, RuleId::JournalExhaustiveness);
     assert_eq!(l9, vec![("crates/serve/src/protocol.rs".to_string(), 4)]);
+}
+
+#[test]
+fn l9_engine_field_missing_from_writer_is_flagged() {
+    let engine = r#"
+pub struct EngineSnapshot {
+    pub clock: i64,
+    pub fuel: u64,
+}
+"#;
+    let protocol = r#"
+fn write_engine(w: &mut ObjWriter<'_>, e: &EngineSnapshot) {
+    w.int("clock", e.clock);
+}
+fn engine_from_json(v: &Json) -> EngineSnapshot {
+    let _ = (v.get("clock"), v.get("fuel"));
+    EngineSnapshot { clock: 0, fuel: 0 }
+}
+"#;
+    // `write_engine` never writes `fuel` → exactly one finding, on the
+    // `fuel` field line of the engine crate's struct.
+    let files = [
+        lib("crates/online/src/engine.rs", "online", engine),
+        lib("crates/serve/src/protocol.rs", "serve", protocol),
+    ];
+    let findings = check_files(&files, None, Some("`error`".to_string()));
+    let l9 = rules_of(&findings, RuleId::JournalExhaustiveness);
+    assert_eq!(l9, vec![("crates/online/src/engine.rs".to_string(), 4)]);
 }

@@ -49,7 +49,7 @@ use std::net::TcpListener;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use calib_core::json::{Json, ToJson};
+use calib_core::json::{Json, ObjWriter, ToJson};
 use calib_serve::{serve, serve_stream, FsyncPolicy, MetricsSink, ServeReport, ServerConfig};
 
 struct Args {
@@ -168,9 +168,12 @@ fn parse_args() -> Result<Args, String> {
 
 fn print_report(report: &ServeReport, mut out: impl Write) {
     for acc in &report.accountings {
-        let mut fields = vec![("type", Json::Str("accounting".to_string()))];
-        fields.extend(acc.fields());
-        let _ = writeln!(out, "{}", Json::obj(fields).to_string_compact());
+        let mut line = String::new();
+        let mut w = ObjWriter::new(&mut line);
+        w.str("type", "accounting");
+        acc.write_fields(&mut w);
+        w.finish();
+        let _ = writeln!(out, "{line}");
     }
     let summary = Json::obj([
         ("type", Json::Str("served".to_string())),

@@ -28,10 +28,10 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use calib_core::json::{FromJson, Json, ToJson};
+use calib_core::json::{FromJson, Json, ObjWriter};
 use calib_core::{Cost, Job, Time};
 
-use crate::protocol::CheckpointState;
+use crate::protocol::{write_jobs, CheckpointState};
 use crate::session::{Algorithm, TenantConfig, TenantSession};
 
 /// When journal appends reach the disk platter.
@@ -136,18 +136,14 @@ impl JournalRecord {
         )
     }
 
-    /// Serializes the record as one compact JSON object.
-    pub fn to_json(&self) -> Json {
-        if let JournalRecord::Checkpoint(state) = self {
-            return match state.to_json() {
-                Json::Obj(mut fields) => {
-                    fields.insert(0, ("op".to_string(), Json::Str("checkpoint".to_string())));
-                    Json::Obj(fields)
-                }
-                other => other,
-            };
-        }
-        let mut fields: Vec<(&'static str, Json)> = match self {
+    /// The record's newline-terminated journal line.
+    pub fn to_line(&self) -> String {
+        let mut line = match self {
+            JournalRecord::Checkpoint(state) => String::with_capacity(state.line_capacity_hint()),
+            _ => String::with_capacity(64),
+        };
+        let mut w = ObjWriter::new(&mut line);
+        match self {
             JournalRecord::Hello {
                 tenant,
                 machines,
@@ -155,43 +151,31 @@ impl JournalRecord {
                 cal_cost,
                 algorithm,
                 ..
-            } => vec![
-                ("op", "hello".to_json()),
-                ("tenant", Json::Str(tenant.clone())),
-                ("machines", machines.to_json()),
-                ("cal_len", cal_len.to_json()),
-                ("cal_cost", cal_cost.to_json()),
-                ("algorithm", algorithm.name().to_json()),
-            ],
+            } => {
+                w.str("op", "hello")
+                    .str("tenant", tenant)
+                    .uint("machines", *machines)
+                    .int("cal_len", *cal_len)
+                    .uint("cal_cost", *cal_cost)
+                    .str("algorithm", algorithm.name());
+            }
             JournalRecord::Arrive { jobs, .. } => {
-                vec![("op", "arrive".to_json()), ("jobs", jobs.to_json())]
+                w.str("op", "arrive");
+                write_jobs(w.key("jobs"), jobs);
             }
             JournalRecord::Tick { now, .. } => {
-                vec![("op", "tick".to_json()), ("now", now.to_json())]
+                w.str("op", "tick").int("now", *now);
             }
-            JournalRecord::Drain { .. } => vec![("op", "drain".to_json())],
-            // Handled by the early return above.
-            JournalRecord::Checkpoint(_) => Vec::new(),
-        };
-        if let Some(s) = self.seq() {
-            fields.push(("seq", s.to_json()));
+            JournalRecord::Drain { .. } => {
+                w.str("op", "drain");
+            }
+            JournalRecord::Checkpoint(state) => {
+                w.str("op", "checkpoint");
+                state.write_json(&mut w);
+            }
         }
-        Json::obj(fields)
-    }
-
-    /// The record's newline-terminated journal line. Checkpoints — whose
-    /// serialized size scales with the engine state — bypass the `Json`
-    /// tree and serialize directly into the buffer; the output is
-    /// byte-identical to `to_json().to_string_compact()` either way.
-    pub fn to_line(&self) -> String {
-        if let JournalRecord::Checkpoint(state) = self {
-            let mut line = String::with_capacity(state.line_capacity_hint());
-            line.push_str("{\"op\":\"checkpoint\",");
-            state.write_fields(&mut line);
-            line.push_str("}\n");
-            return line;
-        }
-        let mut line = self.to_json().to_string_compact();
+        w.opt_uint("seq", self.seq());
+        w.finish();
         line.push('\n');
         line
     }
@@ -651,6 +635,7 @@ pub fn recover(dir: &Path, tenant: &str, policy: FsyncPolicy) -> io::Result<Opti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use calib_core::json::ToJson;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -684,7 +669,7 @@ mod tests {
             JournalRecord::Drain { seq: None },
         ];
         for r in &records {
-            let line = r.to_json().to_string_compact();
+            let line = r.to_line();
             let back = JournalRecord::from_json(&Json::parse(&line).unwrap()).unwrap();
             assert_eq!(&back, r);
         }
@@ -779,14 +764,11 @@ mod tests {
         let dir = tmp("ckpt-rt");
         let s = journaled_session(&dir);
         let record = JournalRecord::Checkpoint(Box::new(s.checkpoint_state()));
-        let line = record.to_json().to_string_compact();
+        let line = record.to_line();
         let back = JournalRecord::from_json(&Json::parse(&line).unwrap()).unwrap();
         assert_eq!(back, record);
         assert!(back.is_sync_point());
         assert_eq!(back.seq(), None);
-        // The direct writer used on the hot path is byte-identical to the
-        // `Json`-tree renderer.
-        assert_eq!(record.to_line(), format!("{line}\n"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

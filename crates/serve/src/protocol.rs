@@ -11,7 +11,7 @@
 //! plus a human-oriented `message`; clients must branch on the code, never
 //! the text.
 
-use calib_core::json::{self, FromJson, Json, ToJson};
+use calib_core::json::{self, push_int, push_uint, FromJson, Json, ObjWriter};
 use calib_core::obs::CounterSnapshot;
 use calib_core::{Assignment, Calibration, Cost, Job, JobId, Time};
 use calib_online::{EngineConfig, EngineSnapshot, IntervalSnapshot, MachineSnapshot};
@@ -279,7 +279,10 @@ impl Request {
                 })
             }
             "evict" => Ok(Request::Evict { tenant, seq }),
-            other => Err(("bad-message", format!("unknown request type `{other}`"))),
+            other => Err((
+                "bad-message",
+                format!("unknown request type `{}`", json::clip_echo(other)),
+            )),
         }
     }
 }
@@ -309,26 +312,18 @@ pub struct Accounting {
 }
 
 impl Accounting {
-    /// The accounting as a reply-ready JSON object (without `type`).
-    pub fn fields(&self) -> Vec<(&'static str, Json)> {
-        vec![
-            ("tenant", Json::Str(self.tenant.clone())),
-            ("jobs", self.jobs.to_json()),
-            ("scheduled", self.scheduled.to_json()),
-            ("calibrations", self.calibrations.to_json()),
-            ("flow", self.flow.to_json()),
-            ("cost", self.cost.to_json()),
-            ("checker_ok", Json::Bool(self.checker_ok)),
-            (
-                "violations",
-                Json::Arr(
-                    self.violations
-                        .iter()
-                        .map(|c| Json::Str(c.clone()))
-                        .collect(),
-                ),
-            ),
-        ]
+    /// Writes the accounting's fields (everything but `type`) into `w`.
+    pub fn write_fields(&self, w: &mut ObjWriter<'_>) {
+        w.str("tenant", &self.tenant)
+            .uint("jobs", self.jobs)
+            .uint("scheduled", self.scheduled)
+            .uint("calibrations", self.calibrations)
+            .uint("flow", self.flow)
+            .uint("cost", self.cost)
+            .bool("checker_ok", self.checker_ok);
+        write_arr(w.key("violations"), &self.violations, |out, code| {
+            json::write_json_string(out, code);
+        });
     }
 }
 
@@ -467,12 +462,6 @@ pub enum Reply {
     },
 }
 
-fn put_seq(fields: &mut Vec<(&'static str, Json)>, seq: Option<u64>) {
-    if let Some(s) = seq {
-        fields.push(("seq", s.to_json()));
-    }
-}
-
 impl Reply {
     /// Builds an error reply.
     pub fn error(
@@ -507,16 +496,14 @@ impl Reply {
         }
     }
 
-    /// Serializes the reply as one compact JSON line (no trailing newline).
-    pub fn to_json(&self) -> Json {
-        match self {
+    /// The serialized line, newline included.
+    pub fn to_line(&self) -> String {
+        let mut line = String::with_capacity(128);
+        let mut w = ObjWriter::new(&mut line);
+        let seq = match self {
             Reply::Ok { tenant, seq } => {
-                let mut fields = vec![
-                    ("type", Json::Str("ok".to_string())),
-                    ("tenant", Json::Str(tenant.clone())),
-                ];
-                put_seq(&mut fields, *seq);
-                Json::obj(fields)
+                w.str("type", "ok").str("tenant", tenant);
+                seq
             }
             Reply::Decisions {
                 tenant,
@@ -526,18 +513,13 @@ impl Reply {
                 idle,
                 seq,
             } => {
-                let mut fields = vec![
-                    ("type", Json::Str("decisions".to_string())),
-                    ("tenant", Json::Str(tenant.clone())),
-                ];
-                if let Some(now) = now {
-                    fields.push(("now", now.to_json()));
-                }
-                fields.push(("calibrations", calibrations.to_json()));
-                fields.push(("starts", starts.to_json()));
-                fields.push(("idle", Json::Bool(*idle)));
-                put_seq(&mut fields, *seq);
-                Json::obj(fields)
+                w.str("type", "decisions")
+                    .str("tenant", tenant)
+                    .opt_int("now", *now);
+                write_calibrations(w.key("calibrations"), calibrations);
+                write_assignments(w.key("starts"), starts);
+                w.bool("idle", *idle);
+                seq
             }
             Reply::Stats {
                 tenant,
@@ -547,16 +529,13 @@ impl Reply {
                 busy_drops,
                 seq,
             } => {
-                let mut fields = vec![
-                    ("type", Json::Str("stats".to_string())),
-                    ("tenant", Json::Str(tenant.clone())),
-                    ("counters", counters.to_json()),
-                    ("queue_depth", queue_depth.to_json()),
-                    ("queue_high_water", queue_high_water.to_json()),
-                    ("busy_drops", busy_drops.to_json()),
-                ];
-                put_seq(&mut fields, *seq);
-                Json::obj(fields)
+                w.str("type", "stats")
+                    .str("tenant", tenant)
+                    .value("counters", &counters.to_json())
+                    .uint("queue_depth", *queue_depth)
+                    .uint("queue_high_water", *queue_high_water)
+                    .uint("busy_drops", *busy_drops);
+                seq
             }
             Reply::Drained {
                 accounting,
@@ -564,25 +543,20 @@ impl Reply {
                 starts,
                 seq,
             } => {
-                let mut fields = vec![("type", Json::Str("drained".to_string()))];
-                fields.extend(accounting.fields());
+                w.str("type", "drained");
+                accounting.write_fields(&mut w);
                 // Nested: the accounting already claims the top-level
                 // `calibrations` key for its count.
-                fields.push((
-                    "decisions",
-                    Json::obj([
-                        ("calibrations", calibrations.to_json()),
-                        ("starts", starts.to_json()),
-                    ]),
-                ));
-                put_seq(&mut fields, *seq);
-                Json::obj(fields)
+                let mut d = w.obj("decisions");
+                write_calibrations(d.key("calibrations"), calibrations);
+                write_assignments(d.key("starts"), starts);
+                d.finish();
+                seq
             }
             Reply::Goodbye { accounting, seq } => {
-                let mut fields = vec![("type", Json::Str("goodbye".to_string()))];
-                fields.extend(accounting.fields());
-                put_seq(&mut fields, *seq);
-                Json::obj(fields)
+                w.str("type", "goodbye");
+                accounting.write_fields(&mut w);
+                seq
             }
             Reply::Resumed {
                 tenant,
@@ -591,19 +565,12 @@ impl Reply {
                 idle,
                 seq,
             } => {
-                let mut fields = vec![
-                    ("type", Json::Str("resumed".to_string())),
-                    ("tenant", Json::Str(tenant.clone())),
-                ];
-                if let Some(s) = last_seq {
-                    fields.push(("last_seq", s.to_json()));
-                }
-                if let Some(now) = now {
-                    fields.push(("now", now.to_json()));
-                }
-                fields.push(("idle", Json::Bool(*idle)));
-                put_seq(&mut fields, *seq);
-                Json::obj(fields)
+                w.str("type", "resumed")
+                    .str("tenant", tenant)
+                    .opt_uint("last_seq", *last_seq)
+                    .opt_int("now", *now)
+                    .bool("idle", *idle);
+                seq
             }
             Reply::Pong {
                 connections,
@@ -613,53 +580,46 @@ impl Reply {
                 busy_drops,
                 seq,
             } => {
-                let mut fields = vec![
-                    ("type", Json::Str("pong".to_string())),
-                    ("connections", connections.to_json()),
-                    ("active_connections", active_connections.to_json()),
-                    ("tenants", tenants.to_json()),
-                    ("requests", requests.to_json()),
-                    ("busy_drops", busy_drops.to_json()),
-                ];
-                put_seq(&mut fields, *seq);
-                Json::obj(fields)
+                w.str("type", "pong")
+                    .uint("connections", *connections)
+                    .uint("active_connections", *active_connections)
+                    .uint("tenants", *tenants)
+                    .uint("requests", *requests)
+                    .uint("busy_drops", *busy_drops);
+                seq
             }
             Reply::Metrics { snapshot, seq } => {
                 // Reuse the snapshot's own fields, but the wire-level `seq`
                 // echoes the request (the snapshot's internal counter would
                 // otherwise collide with it).
-                let mut fields: Vec<(String, Json)> = match snapshot {
-                    Json::Obj(pairs) => pairs.iter().filter(|(k, _)| k != "seq").cloned().collect(),
-                    other => vec![("snapshot".to_string(), other.clone())],
-                };
-                if let Some(s) = seq {
-                    fields.push(("seq".to_string(), s.to_json()));
+                match snapshot {
+                    Json::Obj(pairs) => {
+                        for (k, v) in pairs.iter().filter(|(k, _)| k != "seq") {
+                            w.value(k, v);
+                        }
+                    }
+                    other => {
+                        w.value("snapshot", other);
+                    }
                 }
-                Json::Obj(fields)
+                seq
             }
             Reply::Adopted {
                 tenant,
                 last_seq,
                 seq,
             } => {
-                let mut fields = vec![
-                    ("type", Json::Str("adopted".to_string())),
-                    ("tenant", Json::Str(tenant.clone())),
-                ];
-                if let Some(s) = last_seq {
-                    fields.push(("last_seq", s.to_json()));
-                }
-                put_seq(&mut fields, *seq);
-                Json::obj(fields)
+                w.str("type", "adopted")
+                    .str("tenant", tenant)
+                    .opt_uint("last_seq", *last_seq);
+                seq
             }
             Reply::Evicted { state, seq } => {
-                let mut fields = vec![
-                    ("type", Json::Str("evicted".to_string())),
-                    ("tenant", Json::Str(state.tenant.clone())),
-                    ("state", state.to_json()),
-                ];
-                put_seq(&mut fields, *seq);
-                Json::obj(fields)
+                w.str("type", "evicted").str("tenant", &state.tenant);
+                let mut s = w.obj("state");
+                state.write_json(&mut s);
+                s.finish();
+                seq
             }
             Reply::Error {
                 code,
@@ -668,26 +628,18 @@ impl Reply {
                 retry_after_ms,
                 seq,
             } => {
-                let mut fields = vec![
-                    ("type", Json::Str("error".to_string())),
-                    ("code", Json::Str(code.clone())),
-                    ("message", Json::Str(message.clone())),
-                ];
+                w.str("type", "error")
+                    .str("code", code)
+                    .str("message", message);
                 if let Some(t) = tenant {
-                    fields.push(("tenant", Json::Str(t.clone())));
+                    w.str("tenant", t);
                 }
-                if let Some(ms) = retry_after_ms {
-                    fields.push(("retry_after_ms", ms.to_json()));
-                }
-                put_seq(&mut fields, *seq);
-                Json::obj(fields)
+                w.opt_uint("retry_after_ms", *retry_after_ms);
+                seq
             }
-        }
-    }
-
-    /// The serialized line, newline included.
-    pub fn to_line(&self) -> String {
-        let mut line = self.to_json().to_string_compact();
+        };
+        w.opt_uint("seq", *seq);
+        w.finish();
         line.push('\n');
         line
     }
@@ -723,296 +675,136 @@ pub struct CheckpointState {
     pub engine: EngineSnapshot,
 }
 
-fn pair_json<A: ToJson, B: ToJson>(a: &A, b: &B) -> Json {
-    Json::Arr(vec![a.to_json(), b.to_json()])
-}
-
-fn opt_usize_json(v: Option<usize>) -> Json {
-    match v {
-        Some(i) => i.to_json(),
-        None => Json::Null,
-    }
-}
-
-fn engine_config_json(c: &EngineConfig) -> Json {
-    Json::obj([
-        ("max_steps", c.max_steps.to_json()),
-        ("max_decides_per_step", c.max_decides_per_step.to_json()),
-        ("time_skip", Json::Bool(c.time_skip)),
-    ])
-}
-
-fn machine_json(m: &MachineSnapshot) -> Json {
-    Json::obj([
-        (
-            "coverage",
-            Json::Arr(m.coverage.iter().map(|(b, e)| pair_json(b, e)).collect()),
-        ),
-        ("used_until", m.used_until.to_json()),
-        (
-            "reservations",
-            Json::Arr(
-                m.reservations
-                    .iter()
-                    .map(|(slot, job, interval)| {
-                        Json::Arr(vec![
-                            slot.to_json(),
-                            job.to_json(),
-                            opt_usize_json(*interval),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn interval_json(iv: &IntervalSnapshot) -> Json {
-    Json::obj([
-        ("machine", iv.machine.to_json()),
-        ("start", iv.start.to_json()),
-        (
-            "jobs",
-            Json::Arr(iv.jobs.iter().map(|(j, s)| pair_json(j, s)).collect()),
-        ),
-    ])
-}
-
-fn engine_json(e: &EngineSnapshot) -> Json {
-    let mut fields = vec![
-        ("cal_len", e.cal_len.to_json()),
-        ("cal_cost", e.cal_cost.to_json()),
-        ("config", engine_config_json(&e.config)),
-        ("known", e.known.to_json()),
-        ("pending", e.pending.to_json()),
-        ("waiting", e.waiting.to_json()),
-        (
-            "machines",
-            Json::Arr(e.machines.iter().map(machine_json).collect()),
-        ),
-        (
-            "intervals",
-            Json::Arr(e.intervals.iter().map(interval_json).collect()),
-        ),
-        ("rr_next", e.rr_next.to_json()),
-        ("calibrations", e.calibrations.to_json()),
-        ("assignments", e.assignments.to_json()),
-        (
-            "trace",
-            Json::Arr(
-                e.trace
-                    .iter()
-                    .map(|(t, label)| pair_json(t, &label.as_str()))
-                    .collect(),
-            ),
-        ),
-        ("fuel", e.fuel.to_json()),
-        ("clock", e.clock.to_json()),
-        ("started", Json::Bool(e.started)),
-        ("cal_mark", e.cal_mark.to_json()),
-        ("asg_mark", e.asg_mark.to_json()),
-    ];
-    if let Some(c) = e.cursor {
-        fields.push(("cursor", c.to_json()));
-    }
-    Json::obj(fields)
-}
-
-// --- direct checkpoint serialization ---------------------------------
+// --- direct serialization ------------------------------------------
 //
 // A checkpoint line carries thousands of jobs, assignments, and trace
-// events; building the intermediate `Json` tree allocates per key and
-// dominates the checkpoint hot path. These writers emit byte-identical
-// compact output straight into the line buffer (asserted against the
-// tree renderer in the journal tests).
+// events. Array elements are written from literal key fragments rather
+// than one `ObjWriter` each, which would cost a key escape scan per field
+// per element. The output is the compact rendering of the same tree.
 
-/// Manual decimal formatting: at tens of thousands of integers per
-/// checkpoint line, `write!`'s formatting machinery costs several times
-/// the digits themselves.
-fn push_u128(out: &mut String, mut v: u128) {
-    let mut buf = [0u8; 39];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + u8::try_from(v % 10).unwrap_or(0);
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).unwrap_or(""));
-}
-
-fn push_i64(out: &mut String, v: i64) {
-    if v < 0 {
-        out.push('-');
-    }
-    push_u128(out, u128::from(v.unsigned_abs()));
-}
-
-fn push_usize(out: &mut String, v: usize) {
-    push_u128(out, u128::try_from(v).unwrap_or(u128::MAX));
-}
-
-fn push_bool(out: &mut String, v: bool) {
-    out.push_str(if v { "true" } else { "false" });
-}
-
-fn write_id_list(out: &mut String, ids: &[JobId]) {
-    for (i, id) in ids.iter().enumerate() {
+/// Writes `items` as a JSON array, one element per `each` call.
+fn write_arr<T>(out: &mut String, items: &[T], mut each: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        push_u128(out, u128::from(id.0));
+        each(out, item);
     }
+    out.push(']');
+}
+
+/// A `[a,b]` pair of integers.
+fn write_pair(out: &mut String, a: i128, b: i128) {
+    out.push('[');
+    push_int(out, a);
+    out.push(',');
+    push_int(out, b);
+    out.push(']');
+}
+
+/// Jobs as `{"id":…,"release":…,"weight":…}` objects — the `arrive`
+/// request's and journal record's shape, and the checkpoint's `known`.
+pub(crate) fn write_jobs(out: &mut String, jobs: &[Job]) {
+    write_arr(out, jobs, |out, j| {
+        out.push_str("{\"id\":");
+        push_uint(out, u128::from(j.id.0));
+        out.push_str(",\"release\":");
+        push_int(out, i128::from(j.release));
+        out.push_str(",\"weight\":");
+        push_uint(out, u128::from(j.weight));
+        out.push('}');
+    });
+}
+
+fn write_calibrations(out: &mut String, calibrations: &[Calibration]) {
+    write_arr(out, calibrations, |out, c| {
+        out.push_str("{\"machine\":");
+        push_uint(out, u128::from(c.machine.0));
+        out.push_str(",\"start\":");
+        push_int(out, i128::from(c.start));
+        out.push('}');
+    });
+}
+
+fn write_assignments(out: &mut String, assignments: &[Assignment]) {
+    write_arr(out, assignments, |out, a| {
+        out.push_str("{\"job\":");
+        push_uint(out, u128::from(a.job.0));
+        out.push_str(",\"start\":");
+        push_int(out, i128::from(a.start));
+        out.push_str(",\"machine\":");
+        push_uint(out, u128::from(a.machine.0));
+        out.push('}');
+    });
+}
+
+fn write_ids(out: &mut String, ids: &[JobId]) {
+    write_arr(out, ids, |out, id| push_uint(out, u128::from(id.0)));
 }
 
 fn write_machine(out: &mut String, m: &MachineSnapshot) {
-    out.push_str("{\"coverage\":[");
-    for (i, (b, e)) in m.coverage.iter().enumerate() {
-        if i > 0 {
+    let mut w = ObjWriter::new(out);
+    write_arr(w.key("coverage"), &m.coverage, |out, (b, e)| {
+        write_pair(out, i128::from(*b), i128::from(*e));
+    });
+    w.int("used_until", m.used_until);
+    write_arr(
+        w.key("reservations"),
+        &m.reservations,
+        |out, (slot, job, interval)| {
+            out.push('[');
+            push_int(out, i128::from(*slot));
             out.push(',');
-        }
-        out.push('[');
-        push_i64(out, *b);
-        out.push(',');
-        push_i64(out, *e);
-        out.push(']');
-    }
-    out.push_str("],\"used_until\":");
-    push_i64(out, m.used_until);
-    out.push_str(",\"reservations\":[");
-    for (i, (slot, job, interval)) in m.reservations.iter().enumerate() {
-        if i > 0 {
+            push_uint(out, u128::from(job.0));
             out.push(',');
-        }
-        out.push('[');
-        push_i64(out, *slot);
-        out.push(',');
-        push_u128(out, u128::from(job.0));
-        out.push(',');
-        match interval {
-            Some(iv) => push_usize(out, *iv),
-            None => out.push_str("null"),
-        }
-        out.push(']');
-    }
-    out.push_str("]}");
+            match interval {
+                Some(iv) => push_uint(out, u128::try_from(*iv).unwrap_or(u128::MAX)),
+                None => out.push_str("null"),
+            }
+            out.push(']');
+        },
+    );
+    w.finish();
 }
 
 fn write_interval(out: &mut String, iv: &IntervalSnapshot) {
-    out.push_str("{\"machine\":");
-    push_u128(out, u128::from(iv.machine.0));
-    out.push_str(",\"start\":");
-    push_i64(out, iv.start);
-    out.push_str(",\"jobs\":[");
-    for (i, (j, s)) in iv.jobs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        push_u128(out, u128::from(j.0));
-        out.push(',');
-        push_i64(out, *s);
-        out.push(']');
-    }
-    out.push_str("]}");
+    let mut w = ObjWriter::new(out);
+    w.uint("machine", iv.machine.0).int("start", iv.start);
+    write_arr(w.key("jobs"), &iv.jobs, |out, (j, s)| {
+        write_pair(out, i128::from(j.0), i128::from(*s));
+    });
+    w.finish();
 }
 
-fn write_engine(out: &mut String, e: &EngineSnapshot) {
-    out.push_str("{\"cal_len\":");
-    push_i64(out, e.cal_len);
-    out.push_str(",\"cal_cost\":");
-    push_u128(out, e.cal_cost);
-    out.push_str(",\"config\":{\"max_steps\":");
-    push_u128(out, u128::from(e.config.max_steps));
-    out.push_str(",\"max_decides_per_step\":");
-    push_u128(out, u128::from(e.config.max_decides_per_step));
-    out.push_str(",\"time_skip\":");
-    push_bool(out, e.config.time_skip);
-    out.push_str("},\"known\":[");
-    for (i, j) in e.known.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"id\":");
-        push_u128(out, u128::from(j.id.0));
-        out.push_str(",\"release\":");
-        push_i64(out, j.release);
-        out.push_str(",\"weight\":");
-        push_u128(out, u128::from(j.weight));
-        out.push('}');
-    }
-    out.push_str("],\"pending\":[");
-    write_id_list(out, &e.pending);
-    out.push_str("],\"waiting\":[");
-    write_id_list(out, &e.waiting);
-    out.push_str("],\"machines\":[");
-    for (i, m) in e.machines.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_machine(out, m);
-    }
-    out.push_str("],\"intervals\":[");
-    for (i, iv) in e.intervals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_interval(out, iv);
-    }
-    out.push_str("],\"rr_next\":");
-    push_usize(out, e.rr_next);
-    out.push_str(",\"calibrations\":[");
-    for (i, c) in e.calibrations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"machine\":");
-        push_u128(out, u128::from(c.machine.0));
-        out.push_str(",\"start\":");
-        push_i64(out, c.start);
-        out.push('}');
-    }
-    out.push_str("],\"assignments\":[");
-    for (i, a) in e.assignments.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"job\":");
-        push_u128(out, u128::from(a.job.0));
-        out.push_str(",\"start\":");
-        push_i64(out, a.start);
-        out.push_str(",\"machine\":");
-        push_u128(out, u128::from(a.machine.0));
-        out.push('}');
-    }
-    out.push_str("],\"trace\":[");
-    for (i, (t, label)) in e.trace.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+fn write_engine(w: &mut ObjWriter<'_>, e: &EngineSnapshot) {
+    w.int("cal_len", e.cal_len).uint("cal_cost", e.cal_cost);
+    let mut c = w.obj("config");
+    c.uint("max_steps", e.config.max_steps)
+        .uint("max_decides_per_step", e.config.max_decides_per_step)
+        .bool("time_skip", e.config.time_skip);
+    c.finish();
+    write_jobs(w.key("known"), &e.known);
+    write_ids(w.key("pending"), &e.pending);
+    write_ids(w.key("waiting"), &e.waiting);
+    write_arr(w.key("machines"), &e.machines, write_machine);
+    write_arr(w.key("intervals"), &e.intervals, write_interval);
+    w.uint("rr_next", e.rr_next);
+    write_calibrations(w.key("calibrations"), &e.calibrations);
+    write_assignments(w.key("assignments"), &e.assignments);
+    write_arr(w.key("trace"), &e.trace, |out, (t, label)| {
         out.push('[');
-        push_i64(out, *t);
+        push_int(out, i128::from(*t));
         out.push(',');
         json::write_json_string(out, label);
         out.push(']');
-    }
-    out.push_str("],\"fuel\":");
-    push_u128(out, u128::from(e.fuel));
-    out.push_str(",\"clock\":");
-    push_i64(out, e.clock);
-    out.push_str(",\"started\":");
-    push_bool(out, e.started);
-    out.push_str(",\"cal_mark\":");
-    push_usize(out, e.cal_mark);
-    out.push_str(",\"asg_mark\":");
-    push_usize(out, e.asg_mark);
-    if let Some(c) = e.cursor {
-        out.push_str(",\"cursor\":");
-        push_i64(out, c);
-    }
-    out.push('}');
+    });
+    w.uint("fuel", e.fuel)
+        .int("clock", e.clock)
+        .bool("started", e.started)
+        .uint("cal_mark", e.cal_mark)
+        .uint("asg_mark", e.asg_mark)
+        .opt_int("cursor", e.cursor);
 }
 
 /// Typed field accessors that turn a missing/mistyped field into a
@@ -1190,61 +982,23 @@ fn engine_from_json(v: &Json) -> Result<EngineSnapshot, String> {
 }
 
 impl CheckpointState {
-    /// Serializes the checkpoint as one JSON object (without the journal
-    /// record's `op` tag).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("tenant", Json::Str(self.tenant.clone())),
-            ("machines", self.config.machines.to_json()),
-            ("cal_len", self.config.cal_len.to_json()),
-            ("cal_cost", self.config.cal_cost.to_json()),
-            ("algorithm", self.config.algorithm.name().to_json()),
-            ("flow", self.flow.to_json()),
-            ("total_cost", self.cost.to_json()),
-            ("counters", self.counters.to_json()),
-            ("engine", engine_json(&self.engine)),
-        ];
-        if let Some(s) = self.last_seq {
-            fields.push(("last_seq", s.to_json()));
-        }
-        if let Some(n) = self.now {
-            fields.push(("now", n.to_json()));
-        }
-        Json::obj(fields)
-    }
-
-    /// Appends the checkpoint's JSON fields — no surrounding braces — to
-    /// `out`, byte-identical to [`CheckpointState::to_json`] rendered
-    /// compactly. The journal prepends its `op` tag and the braces; the
-    /// direct write skips the `Json` tree whose per-key allocations
-    /// dominate the checkpoint hot path.
-    pub(crate) fn write_fields(&self, out: &mut String) {
-        out.push_str("\"tenant\":");
-        json::write_json_string(out, &self.tenant);
-        out.push_str(",\"machines\":");
-        push_usize(out, self.config.machines);
-        out.push_str(",\"cal_len\":");
-        push_i64(out, self.config.cal_len);
-        out.push_str(",\"cal_cost\":");
-        push_u128(out, self.config.cal_cost);
-        out.push_str(",\"algorithm\":\"");
-        out.push_str(self.config.algorithm.name());
-        out.push_str("\",\"flow\":");
-        push_u128(out, self.flow);
-        out.push_str(",\"total_cost\":");
-        push_u128(out, self.cost);
-        out.push_str(",\"counters\":");
-        out.push_str(&self.counters.to_json().to_string_compact());
-        out.push_str(",\"engine\":");
-        write_engine(out, &self.engine);
-        if let Some(s) = self.last_seq {
-            out.push_str(",\"last_seq\":");
-            push_u128(out, u128::from(s));
-        }
-        if let Some(n) = self.now {
-            out.push_str(",\"now\":");
-            push_i64(out, n);
-        }
+    /// Writes the checkpoint's fields into `w`: the whole payload of an
+    /// `evicted` reply's `state`, and of a journal `checkpoint` record
+    /// after its `op` tag.
+    pub fn write_json(&self, w: &mut ObjWriter<'_>) {
+        w.str("tenant", &self.tenant)
+            .uint("machines", self.config.machines)
+            .int("cal_len", self.config.cal_len)
+            .uint("cal_cost", self.config.cal_cost)
+            .str("algorithm", self.config.algorithm.name())
+            .uint("flow", self.flow)
+            .uint("total_cost", self.cost)
+            .value("counters", &self.counters.to_json());
+        let mut e = w.obj("engine");
+        write_engine(&mut e, &self.engine);
+        e.finish();
+        w.opt_uint("last_seq", self.last_seq)
+            .opt_int("now", self.now);
     }
 
     /// A capacity estimate for the serialized line, so the hot path's

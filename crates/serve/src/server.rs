@@ -1758,6 +1758,23 @@ mod tests {
         assert_eq!(replies[1].get("type").and_then(Json::as_str), Some("pong"));
     }
 
+    #[test]
+    fn client_input_echoed_in_errors_is_clipped() {
+        let digits = "9".repeat(500_000);
+        let huge_seq = format!(r#"{{"type":"ping","seq":{digits}}}"#);
+        let huge_type = format!(r#"{{"type":"{digits}","tenant":"a"}}"#);
+        let replies = transcript(&[&huge_seq, &huge_type, r#"{"type":"ping","seq":1}"#]);
+        assert_eq!(replies.len(), 3, "{replies:?}");
+        for (reply, code) in replies.iter().zip(["bad-json", "bad-message"]) {
+            assert_eq!(reply.get("code").and_then(Json::as_str), Some(code));
+            // Replies are canonical, so the re-rendered length is the
+            // wire length.
+            let len = reply.to_string_compact().len();
+            assert!(len < 256, "{len}-byte {code} reply");
+        }
+        assert_eq!(replies[2].get("type").and_then(Json::as_str), Some("pong"));
+    }
+
     /// What a scripted peer has seen of the reply stream.
     #[derive(Default)]
     struct Peer {

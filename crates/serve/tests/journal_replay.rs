@@ -392,8 +392,7 @@ fn crash_before_compaction_rename_falls_back_to_the_old_journal() {
     let path = journal_path(&dir.0, tenant);
     let tmp = compact_tmp_path(&path);
     let record = JournalRecord::Checkpoint(Box::new(live.checkpoint_state()));
-    let mut line = record.to_json().to_string_compact();
-    line.push('\n');
+    let line = record.to_line();
     std::fs::write(&tmp, line).expect("stage scratch checkpoint");
 
     let (recovered, report) = recover_with_report(&dir.0, tenant, FsyncPolicy::Off)
@@ -514,7 +513,7 @@ fn torn_appended_checkpoint_line_falls_back_to_full_replay() {
         writer.append(record).expect("prefix append");
     }
     drop(writer);
-    let line = records[ci].to_json().to_string_compact();
+    let line = records[ci].to_line();
     let torn = &line.as_bytes()[..line.len() / 2];
     let path = journal_path(&crash_dir.0, tenant);
     let mut f = std::fs::OpenOptions::new()

@@ -13,7 +13,7 @@
 //! process-level drill (real daemons, a real router, a real `kill -9`)
 //! lives in `tests/router_chaos.rs`.
 
-use calib_core::json::ToJson;
+use calib_core::json::{ObjWriter, ToJson};
 use calib_core::{Job, Time};
 use calib_difftest::{gen_case_sized, GenParams};
 use calib_serve::{Algorithm, CheckpointState, TenantConfig, TenantSession};
@@ -108,12 +108,21 @@ fn apply(session: &mut TenantSession, steps: &[Step], from: usize) {
         .unwrap_or_else(|e| panic!("drain: {} {}", e.code, e.message));
 }
 
+/// The checkpoint payload exactly as an `evicted` reply carries it.
+fn checkpoint_bytes(state: &CheckpointState) -> String {
+    let mut out = String::new();
+    let mut w = ObjWriter::new(&mut out);
+    state.write_json(&mut w);
+    w.finish();
+    out
+}
+
 /// The byte-level identity oracle: the full checkpoint payload (engine
 /// snapshot, counters, exact flow/cost, seq high-water mark) plus the
 /// materialized schedule, both as compact JSON.
 fn fingerprint(session: &TenantSession) -> (String, String) {
     (
-        session.checkpoint_state().to_json().to_string_compact(),
+        checkpoint_bytes(&session.checkpoint_state()),
         session.schedule_snapshot().to_json().to_string_compact(),
     )
 }
@@ -197,8 +206,8 @@ fn double_handoff_is_idempotent() {
         .unwrap_or_else(|e| panic!("restore B: {} {}", e.code, e.message));
     let second = hop_b.checkpoint_state();
     assert_eq!(
-        first.to_json().to_string_compact(),
-        second.to_json().to_string_compact(),
+        checkpoint_bytes(&first),
+        checkpoint_bytes(&second),
         "checkpoint payload drifted across a restore"
     );
     let mut hop_a = TenantSession::restore_from_checkpoint(&second)
@@ -232,7 +241,7 @@ fn checkpoint_survives_the_wire() {
         .unwrap_or_else(|e| panic!("pre-cut #{k}: {} {}", e.code, e.message));
     }
     let state = session.checkpoint_state();
-    let wire = state.to_json().to_string_compact();
+    let wire = checkpoint_bytes(&state);
     let parsed = calib_core::json::Json::parse(&wire).expect("checkpoint JSON parses");
     let decoded = CheckpointState::from_json(&parsed)
         .unwrap_or_else(|e| panic!("checkpoint failed the wire round-trip: {e}"));

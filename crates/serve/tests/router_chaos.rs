@@ -649,3 +649,32 @@ fn deep_nesting_is_bad_json_through_the_router() {
     assert_eq!(err.get("code").and_then(Json::as_str), Some("bad-json"));
     reply("pong");
 }
+
+/// A number with 500k digits gets one short `bad-json` error from the
+/// router: the parser quotes only a clipped prefix of the number back.
+/// The same connection keeps being served.
+#[test]
+fn huge_number_is_a_short_bad_json_through_the_router() {
+    let (router_addr, _config) = spawn_router(vec!["127.0.0.1:1".to_string()], 1);
+    let mut stream = TcpStream::connect(&router_addr).expect("connect router");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let digits = "9".repeat(500_000);
+    stream
+        .write_all(
+            format!("{{\"type\":\"ping\",\"seq\":{digits}}}\n{{\"type\":\"ping\",\"seq\":1}}\n")
+                .as_bytes(),
+        )
+        .expect("send lines");
+    let mut reader = BufReader::new(&stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error reply");
+    assert!(line.len() < 256, "{}-byte reply", line.len());
+    let err = Json::parse(line.trim()).expect("reply json");
+    assert_eq!(err.get("code").and_then(Json::as_str), Some("bad-json"));
+    line.clear();
+    reader.read_line(&mut line).expect("pong");
+    let pong = Json::parse(line.trim()).expect("pong json");
+    assert_eq!(pong.get("type").and_then(Json::as_str), Some("pong"));
+}
