@@ -33,7 +33,7 @@ use calib_core::{Instance, Job};
 use calib_difftest::{gen_case_sized, GenParams};
 use calib_online::{run_online, Alg2, EngineConfig, EngineSession};
 use calib_serve::{
-    serve_stream, AdmitConfig, Algorithm, FsyncPolicy, MetricsSink, Request, ServerConfig,
+    serve_stream, AdmitConfig, Algorithm, FsyncPolicy, LineSink, Request, ServerConfig,
 };
 
 /// The daemon's arrival pattern: jobs grouped by release, ascending.
@@ -174,7 +174,9 @@ fn main() {
                 workers: 1,
                 queue_cap: 1_000_000,
                 metrics_interval: Some(std::time::Duration::from_millis(2)),
-                metrics_sink: Some(MetricsSink::new(Box::new(std::io::sink()))),
+                metrics_sink: Some(std::sync::Arc::new(LineSink::new(
+                    Box::new(std::io::sink()),
+                ))),
                 ..Default::default()
             },
         );

@@ -9,7 +9,7 @@
 //!   `.lock()` / `.read()` / `.write()`. Each acquisition is qualified as
 //!   `<file stem>.<field>` (`server.tenants`, `metrics.totals`); a
 //!   tuple-field mutex (`&self.0`) falls back to the lowercased `impl`
-//!   owner (`metrics.metricssink`).
+//!   owner (`conn.sink` for a `Sink(Mutex<…>)` in `conn.rs`).
 //! * **Guard extents** are approximated from the token tree: a `let`-bound
 //!   guard lives to the close of its enclosing block, minus every
 //!   `drop(name)` range (from the drop site to the close of *its*

@@ -31,11 +31,12 @@
 use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 use calib_core::json::{Json, ToJson};
 use calib_router::{run_router, RouterConfig, RouterReport};
-use calib_serve::MetricsSink;
+use calib_serve::LineSink;
 
 struct Args {
     listen: String,
@@ -146,7 +147,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    args.config.placement_log = Some(MetricsSink::stdout());
+    args.config.placement_log = Some(Arc::new(LineSink::new(Box::new(std::io::stdout()))));
 
     let listener = match TcpListener::bind(&args.listen) {
         Ok(l) => l,

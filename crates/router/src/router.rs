@@ -37,7 +37,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,9 +45,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use calib_core::json::{Json, ToJson};
-use calib_serve::protocol::{Reply, Request, CODE_SHARD_UNREACHABLE, MAX_LINE_BYTES};
+use calib_serve::conn::{self, LineSink};
+use calib_serve::protocol::{Reply, Request, CODE_SHARD_UNREACHABLE};
 use calib_serve::retry::Backoff;
-use calib_serve::MetricsSink;
 
 use crate::metrics::RouterMetrics;
 use crate::ring::Ring;
@@ -88,7 +88,7 @@ pub struct RouterConfig {
     /// Cap of the backend-connect backoff, milliseconds.
     pub backoff_cap_ms: u64,
     /// Where `{"type":"placed",…}` placement lines are written.
-    pub placement_log: Option<MetricsSink>,
+    pub placement_log: Option<Arc<LineSink>>,
     /// The fleet's shared journal directory. When set, the placement
     /// table is persisted here (`router-placements.jsonl`, line-JSON) on
     /// every completed migration and reloaded at router start.
@@ -149,46 +149,6 @@ struct Shared {
     metrics: Arc<RouterMetrics>,
 }
 
-/// A shared, mutex-guarded line sink for one client connection. Write
-/// errors mean the client is gone; the sink shuts itself off and the
-/// reader thread notices on its side.
-struct LineSink {
-    writer: Mutex<Option<Box<dyn Write + Send>>>,
-}
-
-impl LineSink {
-    fn new(writer: Box<dyn Write + Send>) -> LineSink {
-        LineSink {
-            writer: Mutex::new(Some(writer)),
-        }
-    }
-
-    /// Writes one raw line (a trailing newline is added when missing).
-    /// The writer lock spans the whole write so relay threads and the
-    /// reader thread never interleave partial lines.
-    fn send_raw(&self, line: &str) {
-        let mut guard = lock(&self.writer);
-        if let Some(w) = guard.as_mut() {
-            let ok = if line.ends_with('\n') {
-                w.write_all(line.as_bytes()).is_ok()
-            } else {
-                w.write_all(line.as_bytes()).is_ok() && w.write_all(b"\n").is_ok()
-            };
-            if !ok || w.flush().is_err() {
-                *guard = None;
-            }
-        }
-    }
-
-    fn send_json(&self, v: &Json) {
-        self.send_raw(&v.to_string_compact());
-    }
-
-    fn send(&self, reply: &Reply) {
-        self.send_raw(&reply.to_line());
-    }
-}
-
 /// One lazily-opened backend connection of a client connection.
 struct Backend {
     /// Write half plus the shutdown handle the reader uses to reap the
@@ -200,8 +160,8 @@ struct Backend {
 
 /// Serves client connections until idle (with
 /// [`RouterConfig::exit_when_idle`]): every client served and none left.
-/// The listener is switched to non-blocking so the accept loop can
-/// observe the idle condition, exactly like the daemon's accept loop.
+/// Connections are accepted by the daemon's accept loop,
+/// [`calib_serve::conn::accept_loop`].
 pub fn run_router(listener: TcpListener, config: RouterConfig) -> io::Result<RouterReport> {
     if config.shards.is_empty() {
         return Err(io::Error::new(
@@ -209,63 +169,34 @@ pub fn run_router(listener: TcpListener, config: RouterConfig) -> io::Result<Rou
             "a router needs at least one --shard",
         ));
     }
-    listener.set_nonblocking(true)?;
     let ring = Ring::new(config.shards.len(), config.vnodes, config.seed);
     // A persisted placement table survives router restarts: without it a
     // restart would re-derive ring homes and silently undo migrations.
     let placements = load_placements(&config);
     let restored = u64::try_from(placements.len()).unwrap_or(u64::MAX);
-    let shared = Arc::new(Shared {
+    let shared = Shared {
         ring,
         placements: Mutex::new(placements),
         migrating: Mutex::new(HashSet::new()),
         persist: Mutex::new(()),
         metrics: Arc::new(RouterMetrics::new()),
         config,
-    });
+    };
     shared
         .metrics
         .placements
         .fetch_add(restored, Ordering::Relaxed);
-    std::thread::scope(|scope| -> io::Result<()> {
-        loop {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .metrics
-                        .active_connections
-                        .fetch_add(1, Ordering::Relaxed);
-                    let shared = Arc::clone(&shared);
-                    scope.spawn(move || {
-                        stream.set_nodelay(true).ok();
-                        if let Some(timeout) = shared.config.read_timeout {
-                            stream.set_read_timeout(Some(timeout)).ok();
-                        }
-                        let write_half: Box<dyn Write + Send> = match stream.try_clone() {
-                            Ok(s) => Box::new(BufWriter::new(s)),
-                            Err(_) => Box::new(io::sink()),
-                        };
-                        handle_connection(&shared, stream, write_half);
-                        shared
-                            .metrics
-                            .active_connections
-                            .fetch_sub(1, Ordering::Relaxed);
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    let idle = shared.config.exit_when_idle
-                        && shared.metrics.connections.load(Ordering::Relaxed) > 0
-                        && shared.metrics.active_connections.load(Ordering::Relaxed) == 0;
-                    if idle {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+    std::thread::scope(|scope| {
+        let shared = &shared;
+        conn::accept_loop(
+            scope,
+            &listener,
+            shared.config.read_timeout,
+            &shared.metrics.connections,
+            &shared.metrics.active_connections,
+            || shared.config.exit_when_idle,
+            move |_, stream, output| handle_connection(shared, stream, output),
+        )
     })?;
     let m = &shared.metrics;
     Ok(RouterReport {
@@ -280,83 +211,28 @@ pub fn run_router(listener: TcpListener, config: RouterConfig) -> io::Result<Rou
     })
 }
 
-/// Reads one `\n`-terminated line, rejecting lines over [`MAX_LINE_BYTES`]
-/// (the same bound the daemon enforces).
-fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
-    let mut taken = reader.take(u64::try_from(MAX_LINE_BYTES).unwrap_or(u64::MAX));
-    let n = taken.read_line(line)?;
-    if n >= MAX_LINE_BYTES && !line.ends_with('\n') {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-        ));
-    }
-    Ok(n)
-}
-
 /// Reads request lines from one client connection until EOF, forwarding
 /// or answering them. Owns this connection's backend map; backend sockets
 /// are shut down on exit so the relay threads unblock and die.
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, output: Box<dyn Write + Send>) {
+fn handle_connection(shared: &Shared, stream: TcpStream, output: Box<dyn Write + Send>) {
     let sink = Arc::new(LineSink::new(output));
     let closing = Arc::new(AtomicBool::new(false));
     let mut backends: HashMap<usize, Backend> = HashMap::new();
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match read_bounded_line(&mut reader, &mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // An oversized line leaves the stream mid-line; the
-                // daemon resynchronizes, but through a router the safe
-                // move is to drop the connection — the client's
-                // reconnect machinery restores the session.
-                sink.send(&Reply::error("line-too-long", e.to_string(), None, None));
-                break;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                ) =>
-            {
-                sink.send(&Reply::error(
-                    "read-timeout",
-                    "no complete request line within the read timeout; disconnecting",
-                    None,
-                    None,
-                ));
-                break;
-            }
-            Err(_) => break,
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let parsed = match Json::parse(trimmed) {
-            Ok(v) => v,
-            Err(e) => {
-                sink.send(&Reply::error("bad-json", e.to_string(), None, None));
-                continue;
-            }
-        };
+    conn::read_lines(stream, &sink, |line, parsed| {
         shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let seq = parsed.get("seq").and_then(Json::as_u64);
         match parsed.get("type").and_then(Json::as_str).unwrap_or("") {
             "ping" => {
                 sink.send(&pong(shared, seq));
-                continue;
+                return true;
             }
             "metrics" => {
                 sink.send_json(&merged_metrics(shared, seq));
-                continue;
+                return true;
             }
             "migrate" => {
                 handle_migrate(shared, &parsed, &sink);
-                continue;
+                return true;
             }
             ty @ ("adopt" | "evict") => {
                 sink.send(&Reply::error(
@@ -365,7 +241,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, output: Box<dyn Wr
                     None,
                     seq,
                 ));
-                continue;
+                return true;
             }
             _ => {}
         }
@@ -373,7 +249,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, output: Box<dyn Wr
             Ok(r) => r,
             Err((code, message)) => {
                 sink.send(&Reply::error(code, message, None, None));
-                continue;
+                return true;
             }
         };
         let tenant = request.tenant().to_string();
@@ -385,20 +261,21 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, output: Box<dyn Wr
                 Some(&tenant),
                 request.seq(),
             ));
-            continue;
+            return true;
         }
         let shard = place(shared, &tenant);
         forward(
             shared,
             &mut backends,
             shard,
-            trimmed,
+            line,
             &sink,
             &closing,
             &tenant,
             request.seq(),
         );
-    }
+        true
+    });
     closing.store(true, Ordering::Relaxed);
     for backend in backends.values() {
         let _ = backend.stream.shutdown(Shutdown::Both);
@@ -417,7 +294,7 @@ fn place(shared: &Shared, tenant: &str) -> usize {
     drop(placements);
     shared.metrics.placements.fetch_add(1, Ordering::Relaxed);
     if let Some(log) = &shared.config.placement_log {
-        log.write_snapshot(&Json::obj([
+        log.send_json(&Json::obj([
             ("type", Json::Str("placed".to_string())),
             ("tenant", Json::Str(tenant.to_string())),
             ("shard", shard.to_json()),
@@ -436,7 +313,7 @@ fn place(shared: &Shared, tenant: &str) -> usize {
 /// `shard-unreachable` error carrying the tenant and `seq`.
 #[allow(clippy::too_many_arguments)]
 fn forward(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     backends: &mut HashMap<usize, Backend>,
     shard: usize,
     line: &str,
@@ -494,7 +371,7 @@ fn forward(
 /// Connects to `shard` (with seeded backoff between attempts) and spawns
 /// the relay thread pumping its reply lines into `sink`.
 fn open_backend(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     shard: usize,
     sink: &Arc<LineSink>,
     closing: &Arc<AtomicBool>,
@@ -532,7 +409,13 @@ impl RelayHandle {
             line.clear();
             match reader.read_line(&mut line) {
                 Ok(0) | Err(_) => break,
-                Ok(_) => self.sink.send_raw(&line),
+                Ok(_) => {
+                    // A shard closing mid-line still gets its line ended.
+                    if !line.ends_with('\n') {
+                        line.push('\n');
+                    }
+                    self.sink.send_line(&line);
+                }
             }
         }
         self.alive.store(false, Ordering::Relaxed);

@@ -47,10 +47,11 @@
 use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 use calib_core::json::{Json, ObjWriter, ToJson};
-use calib_serve::{serve, serve_stream, FsyncPolicy, MetricsSink, ServeReport, ServerConfig};
+use calib_serve::{serve, serve_stream, FsyncPolicy, LineSink, ServeReport, ServerConfig};
 
 struct Args {
     listen: Option<String>,
@@ -203,22 +204,20 @@ fn main() -> ExitCode {
     };
 
     let mut config = args.config;
+    // Replies own stdout in stdin mode, so the log channel is stderr
+    // there; in TCP mode stdout is the daemon's log channel. Metrics
+    // snapshots and recovery reports share it.
+    let log: Box<dyn Write + Send> = if args.stdin {
+        Box::new(std::io::stderr())
+    } else {
+        Box::new(std::io::stdout())
+    };
+    let log = Arc::new(LineSink::new(log));
     if config.metrics_interval.is_some() {
-        // Replies own stdout in stdin mode, so snapshots go to stderr
-        // there; in TCP mode stdout is the daemon's log channel.
-        config.metrics_sink = Some(if args.stdin {
-            MetricsSink::stderr()
-        } else {
-            MetricsSink::stdout()
-        });
+        config.metrics_sink = Some(Arc::clone(&log));
     }
     if config.journal_dir.is_some() {
-        // Recovery reports share the log channel with metrics snapshots.
-        config.recovery_log = Some(if args.stdin {
-            MetricsSink::stderr()
-        } else {
-            MetricsSink::stdout()
-        });
+        config.recovery_log = Some(log);
     }
 
     let report = if args.stdin {

@@ -35,6 +35,7 @@
 
 pub mod admit;
 pub mod chaos;
+pub mod conn;
 pub mod journal;
 pub mod metrics;
 pub mod protocol;
@@ -44,11 +45,12 @@ pub mod session;
 
 pub use admit::{Admission, AdmitClock, AdmitConfig, ManualClock, RequestClock, Verdict};
 pub use chaos::{run_proxy, FaultPlan, ProxyStats};
+pub use conn::LineSink;
 pub use journal::{
     compact_tmp_path, read_journal, recover, recover_with_report, replay, replay_with_report,
     FsyncPolicy, JournalRecord, JournalWriter, RecoveryReport,
 };
-pub use metrics::{MetricsSink, ServeMetrics, TenantMetrics};
+pub use metrics::{ServeMetrics, TenantMetrics};
 pub use protocol::{Accounting, CheckpointState, Reply, Request, MAX_LINE_BYTES};
 pub use retry::{run_plan, Backoff, ClientConfig, ClientReport, PlanStep, RetryClock, SystemClock};
 pub use server::{serve, serve_stream, ServeReport, ServerConfig};

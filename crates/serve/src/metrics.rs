@@ -21,8 +21,6 @@
 //! engine's exact arithmetic; everything else is `u64`.
 
 use std::collections::BTreeMap;
-use std::fmt;
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -30,7 +28,9 @@ use calib_core::json::{Json, ToJson};
 use calib_core::obs::LogHistogram;
 use calib_core::Cost;
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Locks `m`, recovering the guard if another thread panicked while
+/// holding it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -403,52 +403,6 @@ impl ServeMetrics {
     }
 }
 
-/// A shared, clonable line sink for the periodic metrics stream.
-///
-/// Write errors shut the sink off (like the server's reply sinks): a dead
-/// metrics consumer must never take the daemon down.
-#[derive(Clone)]
-pub struct MetricsSink(Arc<Mutex<Option<Box<dyn Write + Send>>>>);
-
-impl fmt::Debug for MetricsSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("MetricsSink")
-    }
-}
-
-impl MetricsSink {
-    /// A sink over any line-oriented writer.
-    pub fn new(writer: Box<dyn Write + Send>) -> MetricsSink {
-        MetricsSink(Arc::new(Mutex::new(Some(writer))))
-    }
-
-    /// A sink writing to stderr (the `--stdin` transport, where stdout
-    /// carries protocol replies).
-    pub fn stderr() -> MetricsSink {
-        MetricsSink::new(Box::new(std::io::stderr()))
-    }
-
-    /// A sink writing to stdout (the TCP transport).
-    pub fn stdout() -> MetricsSink {
-        MetricsSink::new(Box::new(std::io::stdout()))
-    }
-
-    /// Writes one snapshot line (newline appended).
-    pub fn write_snapshot(&self, snapshot: &Json) {
-        // The sink lock serializes whole snapshot lines onto the shared
-        // writer — it must span the write.
-        // lint:allow(lock-discipline): deliberate hold across the write
-        let mut guard = lock(&self.0);
-        if let Some(w) = guard.as_mut() {
-            let mut line = snapshot.to_string_compact();
-            line.push('\n');
-            if w.write_all(line.as_bytes()).is_err() || w.flush().is_err() {
-                *guard = None;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,23 +511,5 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(1)
         );
-    }
-
-    #[test]
-    fn sink_survives_a_dead_writer() {
-        struct Dead;
-        impl Write for Dead {
-            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "gone"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let sink = MetricsSink::new(Box::new(Dead));
-        let m = ServeMetrics::new();
-        // Both writes are absorbed; the second hits the shut-off sink.
-        sink.write_snapshot(&m.snapshot_json());
-        sink.write_snapshot(&m.snapshot_json());
     }
 }

@@ -12,9 +12,10 @@
 //!   is empty again — so each tenant's requests are processed strictly in
 //!   arrival order, one at a time, while distinct tenants run in parallel
 //!   across the pool.
-//! * Replies go through a per-connection mutexed, buffered writer; reader
-//!   threads write and flush `busy` and parse errors directly, workers
-//!   write everything else and flush once per batch (see [`worker_loop`]).
+//! * Replies go through a per-connection [`LineSink`] over a buffered
+//!   writer; reader threads write and flush `busy` and parse errors
+//!   directly, workers write everything else and flush once per batch (see
+//!   `worker_loop`).
 //!
 //! ## Backpressure
 //!
@@ -42,21 +43,22 @@
 //! how a restarted daemon recovers the sessions a crash orphaned.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use calib_core::json::Json;
 
 use crate::admit::{Admission, AdmitConfig, RequestClock, Verdict};
+use crate::conn::{self, LineSink};
 use crate::journal::{self, FsyncPolicy, JournalRecord, JournalWriter};
-use crate::metrics::{MetricsSink, ServeMetrics, TenantMetrics};
+use crate::metrics::{lock, ServeMetrics, TenantMetrics};
 use crate::protocol::{
     Accounting, CheckpointState, Reply, Request, CODE_RATE_LIMITED, CODE_SHED, CODE_TENANT_MOVED,
-    MAX_LINE_BYTES,
 };
 use crate::session::{Algorithm, SessionError, SessionMetrics, TenantConfig, TenantSession};
 
@@ -91,7 +93,7 @@ pub struct ServerConfig {
     pub metrics_interval: Option<Duration>,
     /// Where periodic snapshots (and one final authoritative snapshot at
     /// shutdown) are written, one JSON line each.
-    pub metrics_sink: Option<MetricsSink>,
+    pub metrics_sink: Option<Arc<LineSink>>,
     /// Append a checkpoint record after this many journaled mutating
     /// records per tenant, bounding crash-replay to the tail since the
     /// last checkpoint. `None` disables cadence checkpoints.
@@ -103,7 +105,7 @@ pub struct ServerConfig {
     /// (`{"type":"recovered","tenant":…,"records":…,"tail_replayed":…,
     /// "from_checkpoint":…}`) are written — the recovery-smoke CI job
     /// parses these to assert replay stays tail-bounded.
-    pub recovery_log: Option<MetricsSink>,
+    pub recovery_log: Option<Arc<LineSink>>,
     /// Weighted admission control and load shedding (`--max-inflight`,
     /// `--rate-per-k`, `--rate-burst`); all-off by default. See
     /// [`crate::admit`] for the decision model.
@@ -165,89 +167,8 @@ impl ServeReport {
     }
 }
 
-/// A shared, mutex-guarded line sink for one connection's replies.
-///
-/// Replies are written into the connection's buffered writer and reach
-/// the peer on [`ReplySink::flush`]. Reader threads answer inline with
-/// [`ReplySink::send`] (write + flush); workers write each reply and flush
-/// once per batch (see [`worker_loop`]).
-struct ReplySink {
-    writer: Mutex<Option<SinkWriter>>,
-}
-
-/// A live connection's writer.
-struct SinkWriter {
-    out: Box<dyn Write + Send>,
-    /// At least one reply was written since the last flush.
-    unflushed: bool,
-    /// Counts replies and flushes (`replies`, `reply_flushes`).
-    metrics: Arc<ServeMetrics>,
-}
-
-impl ReplySink {
-    fn new(out: Box<dyn Write + Send>, metrics: &Arc<ServeMetrics>) -> ReplySink {
-        ReplySink {
-            writer: Mutex::new(Some(SinkWriter {
-                out,
-                unflushed: false,
-                metrics: Arc::clone(metrics),
-            })),
-        }
-    }
-
-    /// A sink that discards everything — used for synthetic cleanup
-    /// requests after a disconnect.
-    fn null() -> ReplySink {
-        ReplySink {
-            writer: Mutex::new(None),
-        }
-    }
-
-    /// Writes one reply line and flushes it to the peer.
-    fn send(&self, reply: &Reply) {
-        self.write(reply);
-        self.flush();
-    }
-
-    /// Writes one reply line into the connection's buffer without flushing
-    /// it. Write errors mean the peer is gone; the sink shuts itself off
-    /// and the reader thread notices on its side.
-    fn write(&self, reply: &Reply) {
-        let line = reply.to_line();
-        // The writer lock IS the reply serialization point — it must span
-        // the whole line write so concurrent replies never interleave.
-        // lint:allow(lock-discipline): deliberate hold across the write
-        let mut guard = lock(&self.writer);
-        if let Some(w) = guard.as_mut() {
-            if w.out.write_all(line.as_bytes()).is_err() {
-                *guard = None;
-                return;
-            }
-            w.unflushed = true;
-            w.metrics.replies.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Pushes every reply written so far to the peer; a no-op when none
-    /// is pending (another thread's flush already carried it).
-    fn flush(&self) {
-        // Same serialization point as `write`: a flush must not interleave
-        // with a half-written line.
-        // lint:allow(lock-discipline): deliberate hold across the flush
-        let mut guard = lock(&self.writer);
-        if let Some(w) = guard.as_mut().filter(|w| w.unflushed) {
-            if w.out.flush().is_err() {
-                *guard = None;
-                return;
-            }
-            w.unflushed = false;
-            w.metrics.reply_flushes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 struct Inbox {
-    queue: VecDeque<(Request, Arc<ReplySink>)>,
+    queue: VecDeque<(Request, Arc<LineSink>)>,
     /// A worker currently owns this tenant (it stays un-scheduled until
     /// the inbox empties).
     running: bool,
@@ -383,72 +304,77 @@ impl Shared {
     /// backpressure. Returns `false` when the server decided to drop the
     /// connection (a shed in journaling mode, where the session detaches
     /// safely and the client reconnects with `resume`).
-    fn enqueue(&self, tenant: &Arc<Tenant>, req: Request, sink: &Arc<ReplySink>) -> bool {
+    fn enqueue(&self, tenant: &Arc<Tenant>, req: Request, sink: &Arc<LineSink>) -> bool {
         // Admission gates only the work-bearing requests; control traffic
         // (resume/decisions/stats/bye) always passes so overloaded
         // tenants can still observe, drain, and leave.
         let gated = self.admission.config().enabled() && admission_gated(&req);
-        if gated {
-            match self.admission.admit(&tenant.name) {
-                Verdict::Admit => self.metrics.record_admitted(&tenant.metrics),
-                Verdict::RateLimited { retry_after_ms } => {
-                    self.metrics.record_rate_limited(&tenant.metrics);
-                    sink.send(&Reply::error_retry_after(
-                        CODE_RATE_LIMITED,
-                        "token bucket empty; retry after the hinted delay",
-                        Some(&tenant.name),
-                        retry_after_ms,
-                        req.seq(),
-                    ));
-                    return true;
-                }
-                Verdict::Shed { retry_after_ms } => {
-                    // Actually shedding load means dropping the
-                    // connection, which is only safe when the session can
-                    // detach and await `resume` (journaling on);
-                    // otherwise the typed error alone is the signal.
-                    let disconnect = self.config.journal_dir.is_some();
-                    self.metrics.record_shed(&tenant.metrics, disconnect);
-                    sink.send(&Reply::error_retry_after(
-                        CODE_SHED,
-                        "in-flight budget breached; reconnect after the hinted delay",
-                        Some(&tenant.name),
-                        retry_after_ms,
-                        req.seq(),
-                    ));
-                    return !disconnect;
-                }
-            }
-        }
+        let seq = req.seq();
         let cap = self.config.queue_cap.max(1);
-        let accepted = {
+        // The cap is checked first, and the inbox lock is held through the
+        // verdict and the push, so a `busy` drop never spends a token or
+        // an in-flight slot.
+        let verdict = {
             let mut inbox = lock(&tenant.inbox);
             if inbox.queue.len() >= cap {
-                false
+                None
             } else {
-                inbox.queue.push_back((req.clone(), Arc::clone(sink)));
-                inbox.high_water = inbox.high_water.max(inbox.queue.len());
-                tenant
-                    .metrics
-                    .set_queue_depth(u64::try_from(inbox.queue.len()).unwrap_or(u64::MAX));
-                true
+                let verdict = if gated {
+                    self.admission.admit(&tenant.name)
+                } else {
+                    Verdict::Admit
+                };
+                if verdict == Verdict::Admit {
+                    if gated {
+                        self.metrics.record_admitted(&tenant.metrics);
+                    }
+                    inbox.queue.push_back((req, Arc::clone(sink)));
+                    inbox.high_water = inbox.high_water.max(inbox.queue.len());
+                    tenant
+                        .metrics
+                        .set_queue_depth(u64::try_from(inbox.queue.len()).unwrap_or(u64::MAX));
+                }
+                Some(verdict)
             }
         };
-        if accepted {
-            self.schedule(tenant);
-        } else {
-            // A busy drop strands the in-flight slot the admit took.
-            if gated {
-                self.admission.complete(&tenant.name);
+        match verdict {
+            Some(Verdict::Admit) => self.schedule(tenant),
+            Some(Verdict::RateLimited { retry_after_ms }) => {
+                self.metrics.record_rate_limited(&tenant.metrics);
+                sink.send(&Reply::error_retry_after(
+                    CODE_RATE_LIMITED,
+                    "token bucket empty; retry after the hinted delay",
+                    Some(&tenant.name),
+                    retry_after_ms,
+                    seq,
+                ));
             }
-            tenant.metrics.busy_drops.fetch_add(1, Ordering::Relaxed);
-            self.metrics.busy_drops.fetch_add(1, Ordering::Relaxed);
-            sink.send(&Reply::error(
-                "busy",
-                format!("tenant queue full ({cap} requests)"),
-                Some(&tenant.name),
-                req.seq(),
-            ));
+            Some(Verdict::Shed { retry_after_ms }) => {
+                // Actually shedding load means dropping the connection,
+                // which is only safe when the session can detach and await
+                // `resume` (journaling on); otherwise the typed error alone
+                // is the signal.
+                let disconnect = self.config.journal_dir.is_some();
+                self.metrics.record_shed(&tenant.metrics, disconnect);
+                sink.send(&Reply::error_retry_after(
+                    CODE_SHED,
+                    "in-flight budget breached; reconnect after the hinted delay",
+                    Some(&tenant.name),
+                    retry_after_ms,
+                    seq,
+                ));
+                return !disconnect;
+            }
+            None => {
+                tenant.metrics.busy_drops.fetch_add(1, Ordering::Relaxed);
+                self.metrics.busy_drops.fetch_add(1, Ordering::Relaxed);
+                sink.send(&Reply::error(
+                    "busy",
+                    format!("tenant queue full ({cap} requests)"),
+                    Some(&tenant.name),
+                    seq,
+                ));
+            }
         }
         true
     }
@@ -458,16 +384,11 @@ impl Shared {
     fn enqueue_cleanup(&self, tenant: &Arc<Tenant>, req: Request) {
         {
             let mut inbox = lock(&tenant.inbox);
-            inbox.queue.push_back((req, Arc::new(ReplySink::null())));
+            inbox
+                .queue
+                .push_back((req, Arc::new(LineSink::new(Box::new(io::sink())))));
         }
         self.schedule(tenant);
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }
 
@@ -489,102 +410,72 @@ pub fn serve_stream(
     output: Box<dyn Write + Send>,
     config: ServerConfig,
 ) -> ServeReport {
-    let shared = Arc::new(Shared::new(config));
-    let workers = shared.config.workers.max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || worker_loop(&shared));
-        }
-        spawn_metrics_thread(&shared, scope);
-        shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-        shared
-            .metrics
-            .active_connections
-            .fetch_add(1, Ordering::Relaxed);
+    let shared = Shared::new(config);
+    let ((), report) = run_server(&shared, |_| {
+        let m = &shared.metrics;
+        m.connections.fetch_add(1, Ordering::Relaxed);
+        m.active_connections.fetch_add(1, Ordering::Relaxed);
         run_connection(&shared, 0, input, output);
-        shared
-            .metrics
-            .active_connections
-            .fetch_sub(1, Ordering::Relaxed);
-        drain_and_stop(&shared);
+        m.active_connections.fetch_sub(1, Ordering::Relaxed);
     });
-    final_snapshot(&shared);
-    report(&shared)
+    report
 }
 
 /// Serves TCP connections until idle (see the module docs for the shutdown
 /// contract). The listener must already be bound; it is switched to
 /// non-blocking so the accept loop can observe the idle condition.
 pub fn serve(listener: TcpListener, config: ServerConfig) -> io::Result<ServeReport> {
-    listener.set_nonblocking(true)?;
-    let shared = Arc::new(Shared::new(config));
-    let workers = shared.config.workers.max(1);
-    std::thread::scope(|scope| -> io::Result<()> {
-        for _ in 0..workers {
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || worker_loop(&shared));
+    let shared = Shared::new(config);
+    let (accepted, report) = run_server(&shared, |scope| {
+        let shared = &shared;
+        let idle = || shared.config.exit_when_idle && shared.lock_tenants().is_empty();
+        conn::accept_loop(
+            scope,
+            &listener,
+            shared.config.read_timeout,
+            &shared.metrics.connections,
+            &shared.metrics.active_connections,
+            idle,
+            move |conn, stream, output| run_connection(shared, conn, stream, output),
+        )
+    });
+    accepted.map(|()| report)
+}
+
+/// Starts the worker pool and the snapshot thread, runs `transport`, then
+/// stops the workers whatever `transport` returned. Returns its result
+/// and the report, written after one final snapshot.
+fn run_server<'env, T>(
+    shared: &'env Shared,
+    transport: impl for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> T,
+) -> (T, ServeReport) {
+    let out = std::thread::scope(|scope| {
+        for _ in 0..shared.config.workers.max(1) {
+            scope.spawn(|| worker_loop(shared));
         }
-        spawn_metrics_thread(&shared, scope);
-        loop {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    let conn = shared.metrics.connections.fetch_add(1, Ordering::Relaxed) + 1;
-                    shared
-                        .metrics
-                        .active_connections
-                        .fetch_add(1, Ordering::Relaxed);
-                    let shared = Arc::clone(&shared);
-                    scope.spawn(move || {
-                        stream.set_nodelay(true).ok();
-                        if let Some(timeout) = shared.config.read_timeout {
-                            stream.set_read_timeout(Some(timeout)).ok();
-                        }
-                        let write_half: Box<dyn Write + Send> = match stream.try_clone() {
-                            Ok(s) => Box::new(BufWriter::new(s)),
-                            Err(_) => Box::new(io::sink()),
-                        };
-                        run_connection(&shared, conn, stream, write_half);
-                        shared
-                            .metrics
-                            .active_connections
-                            .fetch_sub(1, Ordering::Relaxed);
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    let idle = shared.config.exit_when_idle
-                        && shared.metrics.connections.load(Ordering::Relaxed) > 0
-                        && shared.metrics.active_connections.load(Ordering::Relaxed) == 0
-                        && shared.lock_tenants().is_empty();
-                    if idle {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        drain_and_stop(&shared);
-        Ok(())
-    })?;
-    final_snapshot(&shared);
-    Ok(report(&shared))
+        spawn_metrics_thread(shared, scope);
+        let out = transport(scope);
+        drain_and_stop(shared);
+        out
+    });
+    // Written after every worker has exited, so stream consumers always
+    // end on totals that include every finalization.
+    if let Some(sink) = shared.config.metrics_sink.as_ref() {
+        sink.send_json(&shared.metrics.snapshot_json());
+    }
+    (out, report(shared))
 }
 
 /// Starts the periodic snapshot thread when both a cadence and a sink are
 /// configured. The thread sleeps on a condvar that `drain_and_stop`
 /// signals, so even a long interval never delays server exit.
-fn spawn_metrics_thread<'scope>(
-    shared: &Arc<Shared>,
-    scope: &'scope std::thread::Scope<'scope, '_>,
-) {
+fn spawn_metrics_thread<'scope, 'env>(shared: &'env Shared, scope: &'scope Scope<'scope, 'env>) {
     let (Some(interval), Some(sink)) = (
         shared.config.metrics_interval,
         shared.config.metrics_sink.clone(),
     ) else {
         return;
     };
-    let shared = Arc::clone(shared);
     scope.spawn(move || {
         // metrics_wake is the flusher's own condvar mutex; only this thread
         // holds it, and snapshots are written between timed waits by design.
@@ -603,18 +494,10 @@ fn spawn_metrics_thread<'scope>(
                 break;
             }
             if timed_out {
-                sink.write_snapshot(&shared.metrics.snapshot_json());
+                sink.send_json(&shared.metrics.snapshot_json());
             }
         }
     });
-}
-
-/// Writes one authoritative snapshot after all workers have exited, so
-/// stream consumers always end on totals that include every finalization.
-fn final_snapshot(shared: &Shared) {
-    if let Some(sink) = shared.config.metrics_sink.as_ref() {
-        sink.write_snapshot(&shared.metrics.snapshot_json());
-    }
 }
 
 /// Signals workers to finish queued work and exit, then wakes them (and
@@ -647,103 +530,29 @@ fn report(shared: &Shared) -> ServeReport {
 
 /// Reads request lines from one connection until EOF, routing them.
 fn run_connection(shared: &Shared, conn: u64, input: impl Read, output: Box<dyn Write + Send>) {
-    let sink = Arc::new(ReplySink::new(output, &shared.metrics));
-    let mut reader = BufReader::new(input);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        // A hand-rolled bounded read_line: a peer streaming an endless
-        // line must not balloon the buffer.
-        match read_bounded_line(&mut reader, &mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                sink.send(&Reply::error("line-too-long", e.to_string(), None, None));
-                continue;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                ) =>
-            {
-                // The socket read timeout fired: tell the (possibly hung)
-                // peer why it is being dropped, then disconnect.
-                sink.send(&Reply::error(
-                    "read-timeout",
-                    "no complete request line within the read timeout; disconnecting",
-                    None,
-                    None,
-                ));
-                break;
-            }
-            Err(_) => break,
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let parsed = match Json::parse(trimmed) {
-            Ok(v) => v,
-            Err(e) => {
-                sink.send(&Reply::error("bad-json", e.to_string(), None, None));
-                continue;
-            }
-        };
+    let sink = Arc::new(LineSink::counted(output, &shared.metrics));
+    conn::read_lines(input, &sink, |_, parsed| {
         let request = match Request::from_json(&parsed) {
             Ok(r) => r,
             Err((code, message)) => {
                 sink.send(&Reply::error(code, message, None, None));
-                continue;
+                return true;
             }
         };
         shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
         // Advance the admission clock: one virtual millisecond per parsed
         // request line, so token refill tracks offered load.
         shared.admission.observe();
-        if !route(shared, conn, request, &sink) {
-            // The server shed this client; the typed reply is already out.
-            break;
-        }
-    }
+        // `false` means the server shed this client; the typed reply is
+        // already out.
+        route(shared, conn, request, &sink)
+    });
     cleanup_connection(shared, conn);
-}
-
-/// Reads one `\n`-terminated line, rejecting lines over [`MAX_LINE_BYTES`].
-fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
-    let mut taken = reader.take(u64::try_from(MAX_LINE_BYTES).unwrap_or(u64::MAX));
-    let n = taken.read_line(line)?;
-    if n >= MAX_LINE_BYTES && !line.ends_with('\n') {
-        // Discard the rest of the oversized line before reporting.
-        let reader = taken.get_mut();
-        loop {
-            let buf = reader.fill_buf()?;
-            if buf.is_empty() {
-                break;
-            }
-            match buf.iter().position(|&b| b == b'\n') {
-                Some(i) => {
-                    reader.consume(i + 1);
-                    break;
-                }
-                None => {
-                    let len = buf.len();
-                    reader.consume(len);
-                }
-            }
-        }
-        line.clear();
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-        ));
-    }
-    Ok(n)
 }
 
 /// Routes one parsed request. Returns `false` when the connection should
 /// be dropped (the server shed this client).
-fn route(shared: &Shared, conn: u64, request: Request, sink: &Arc<ReplySink>) -> bool {
+fn route(shared: &Shared, conn: u64, request: Request, sink: &Arc<LineSink>) -> bool {
     // `ping` is answered inline by the reader, bypassing tenant queues —
     // the liveness probe must work even when every worker is busy.
     if let Request::Ping { seq } = &request {
@@ -941,7 +750,7 @@ fn route(shared: &Shared, conn: u64, request: Request, sink: &Arc<ReplySink>) ->
 /// the checkpoint instead of created fresh, and the tenant starts
 /// *detached* (`conn = None`) so the tenant's own client, not the router's
 /// control connection, attaches to it with `resume`.
-fn route_adopt(shared: &Shared, state: CheckpointState, seq: Option<u64>, sink: &Arc<ReplySink>) {
+fn route_adopt(shared: &Shared, state: CheckpointState, seq: Option<u64>, sink: &Arc<LineSink>) {
     let name = state.tenant.clone();
     let tenant = name.as_str();
     // Write-ahead registration, same contract as `hello`: the map entry
@@ -1047,7 +856,7 @@ fn route_resume(
     tenant: &str,
     seq: Option<u64>,
     request: Request,
-    sink: &Arc<ReplySink>,
+    sink: &Arc<LineSink>,
 ) {
     let existing = {
         let tenants = shared.lock_tenants();
@@ -1140,7 +949,7 @@ fn route_resume(
             tenants.insert(tenant.to_string(), Arc::clone(&t));
             drop(tenants);
             if let Some(log) = shared.config.recovery_log.as_ref() {
-                log.write_snapshot(&Json::obj([
+                log.send_json(&Json::obj([
                     ("type", Json::Str("recovered".to_string())),
                     ("tenant", Json::Str(tenant.to_string())),
                     (
@@ -1245,7 +1054,7 @@ fn worker_loop(shared: &Shared) {
         // unflushed. The batch is flushed when the inbox runs empty or the
         // next request answers on another connection, so no reply is held
         // once this worker lets go of the tenant.
-        let mut unflushed: Option<Arc<ReplySink>> = None;
+        let mut unflushed: Option<Arc<LineSink>> = None;
         loop {
             let next = {
                 let mut inbox = lock(&tenant.inbox);
@@ -1343,7 +1152,7 @@ fn duplicate_reply(request: &Request, session: &TenantSession, name: &str) -> Re
 
 /// Handles one queued request against the tenant's session, timing it into
 /// the daemon-wide request histogram.
-fn process(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: &Arc<ReplySink>) {
+fn process(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: &Arc<LineSink>) {
     let started = Instant::now();
     tenant.metrics.requests.fetch_add(1, Ordering::Relaxed);
     process_inner(shared, tenant, request, sink);
@@ -1351,7 +1160,7 @@ fn process(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: &Arc<R
     shared.metrics.request_micros.record(micros);
 }
 
-fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: &Arc<ReplySink>) {
+fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: &Arc<LineSink>) {
     let seq = request.seq();
     // Write-ahead logging — the journal append must land before the
     // in-memory session state mutates, and both must be atomic with
@@ -1581,6 +1390,7 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::MAX_LINE_BYTES;
 
     /// Drives `serve_stream` with a scripted input and captures the output.
     fn transcript(lines: &[&str]) -> Vec<Json> {
@@ -1773,6 +1583,45 @@ mod tests {
             assert!(len < 256, "{len}-byte {code} reply");
         }
         assert_eq!(replies[2].get("type").and_then(Json::as_str), Some("pong"));
+    }
+
+    #[test]
+    fn busy_drop_leaves_admission_state_alone() {
+        // No workers run, so the first tick stays queued and fills the
+        // one-slot inbox; the second is dropped `busy`.
+        let shared = Shared::new(ServerConfig {
+            queue_cap: 1,
+            admit: AdmitConfig {
+                rate_per_k: Some(1),
+                ..AdmitConfig::default()
+            },
+            ..ServerConfig::default()
+        });
+        let config = TenantConfig {
+            machines: 1,
+            cal_len: 3,
+            cal_cost: 1,
+            algorithm: Algorithm::Alg1,
+        };
+        let session = TenantSession::new("a", config, None).unwrap();
+        let tenant = Arc::new(Tenant::new(
+            "a",
+            Some(0),
+            session,
+            shared.metrics.tenant("a"),
+        ));
+        let sink = Arc::new(LineSink::new(Box::new(io::sink())));
+        for now in [1, 2] {
+            let tick = Request::Tick {
+                tenant: "a".to_string(),
+                now,
+                seq: None,
+            };
+            assert!(shared.enqueue(&tenant, tick, &sink));
+        }
+        assert_eq!(shared.metrics.busy_drops.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.metrics.admitted.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.admission.total_inflight(), 1);
     }
 
     /// What a scripted peer has seen of the reply stream.

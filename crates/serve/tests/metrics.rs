@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use calib_core::json::{Json, ToJson};
 use calib_difftest::{gen_case_sized, GenParams};
-use calib_serve::{serve, serve_stream, MetricsSink, ServerConfig};
+use calib_serve::{serve, serve_stream, LineSink, ServerConfig};
 
 fn send_line(stream: &mut TcpStream, line: &str) {
     stream.write_all(line.as_bytes()).unwrap();
@@ -272,9 +272,9 @@ fn metrics_snapshot_stream_is_periodic_and_monotonic() {
         ServerConfig {
             workers: 1,
             metrics_interval: Some(Duration::from_millis(5)),
-            metrics_sink: Some(MetricsSink::new(Box::new(SharedBuf(Arc::clone(
+            metrics_sink: Some(Arc::new(LineSink::new(Box::new(SharedBuf(Arc::clone(
                 &snapshots,
-            ))))),
+            )))))),
             ..Default::default()
         },
     );

@@ -678,3 +678,32 @@ fn huge_number_is_a_short_bad_json_through_the_router() {
     let pong = Json::parse(line.trim()).expect("pong json");
     assert_eq!(pong.get("type").and_then(Json::as_str), Some("pong"));
 }
+
+/// A line over the byte bound gets `line-too-long` from the router, which
+/// skips the rest of the line and keeps serving the same connection. No
+/// shard is contacted for either line.
+#[test]
+fn oversized_line_is_line_too_long_through_the_router() {
+    let (router_addr, _config) = spawn_router(vec!["127.0.0.1:1".to_string()], 1);
+    let mut stream = TcpStream::connect(&router_addr).expect("connect router");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let huge = "x".repeat(calib_serve::MAX_LINE_BYTES + 10);
+    stream
+        .write_all(format!("{huge}\n{{\"type\":\"ping\",\"seq\":1}}\n").as_bytes())
+        .expect("send lines");
+    let mut reader = BufReader::new(&stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error reply");
+    let err = Json::parse(line.trim()).expect("reply json");
+    assert_eq!(
+        err.get("code").and_then(Json::as_str),
+        Some("line-too-long"),
+        "{line}"
+    );
+    line.clear();
+    reader.read_line(&mut line).expect("pong");
+    let pong = Json::parse(line.trim()).expect("pong json");
+    assert_eq!(pong.get("type").and_then(Json::as_str), Some("pong"));
+}

@@ -265,9 +265,9 @@ fn converter_accepts_a_metrics_stream_alongside_traces() {
             workers: 1,
             trace_dir: Some(trace_dir.clone()),
             metrics_interval: Some(std::time::Duration::from_millis(5)),
-            metrics_sink: Some(calib_serve::MetricsSink::new(Box::new(SharedBuf(
+            metrics_sink: Some(Arc::new(calib_serve::LineSink::new(Box::new(SharedBuf(
                 Arc::clone(&snapshots),
-            )))),
+            ))))),
             ..Default::default()
         },
     );
