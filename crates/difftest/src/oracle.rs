@@ -17,14 +17,18 @@
 //!   optimal for a fixed calibration set (checked against branch-and-bound
 //!   on small instances), never worse than the engine's own materialization
 //!   of the same calibrations, and invariant under job-id permutation.
+//! * **Session history** — an [`EngineSession`] stepped one release group
+//!   at a time, snapshotted and restored at a seeded cut, reports the same
+//!   decisions, schedule, trace, interval flows and jobs as the batch run.
 //!
 //! Brute-force references are exponential, so each is gated behind explicit
 //! size bounds; the [`Oracle`] runs every check whose gate admits the case.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use calib_core::obs::NoopProbe;
 use calib_core::{
-    assign_greedy_with_policy, check_schedule, Cost, Instance, JobId, PriorityPolicy, Schedule,
+    assign_greedy_with_policy, check_schedule, Cost, Instance, Job, JobId, PriorityPolicy, Schedule,
 };
 use calib_offline::{
     min_flow_by_budget, opt_online_brute_multi, opt_online_cost, optimal_assignment_exhaustive,
@@ -32,7 +36,8 @@ use calib_offline::{
 };
 use calib_online::{
     run_alg3_practical, run_online, run_weighted_multi_practical, Alg1, Alg2, Alg3,
-    CalibrateImmediately, OnlineScheduler, RunResult, SkiRentalBatch, WeightedMulti,
+    CalibrateImmediately, Decisions, EngineConfig, EngineSession, OnlineScheduler, RunResult,
+    SkiRentalBatch, WeightedMulti,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,6 +76,9 @@ pub enum Check {
     AssignerNotWorseThanEngine,
     /// Assignment cost changed under a job-id permutation.
     AssignerPermutationInvariant,
+    /// An incrementally stepped, snapshotted and restored session disagrees
+    /// with the batch run of the same scheduler.
+    SessionHistory,
 }
 
 impl Check {
@@ -90,6 +98,7 @@ impl Check {
             Check::AssignerOptimal => "assigner-optimal",
             Check::AssignerNotWorseThanEngine => "assigner-not-worse-than-engine",
             Check::AssignerPermutationInvariant => "assigner-permutation-invariant",
+            Check::SessionHistory => "session-history",
         }
     }
 
@@ -114,6 +123,7 @@ pub const ALL_CHECKS: &[Check] = &[
     Check::AssignerOptimal,
     Check::AssignerNotWorseThanEngine,
     Check::AssignerPermutationInvariant,
+    Check::SessionHistory,
 ];
 
 impl std::fmt::Display for Check {
@@ -181,6 +191,14 @@ impl Oracle {
         let g = case.cal_cost;
 
         let runs = self.online_runs(inst, g, &mut failures);
+        for (name, result) in &runs {
+            if let Err(detail) = session_history(inst, g, name, result) {
+                failures.push(OracleFailure {
+                    check: Check::SessionHistory,
+                    detail: format!("{name}: {detail}"),
+                });
+            }
+        }
         self.offline_checks(inst, g, &mut failures);
         self.ratio_checks(inst, g, &mut failures);
         if let Some((name, result)) = runs.first() {
@@ -588,6 +606,92 @@ impl Oracle {
             }
         }
     }
+}
+
+/// A fresh instance of the engine-driven scheduler `online_runs` names
+/// `name`; `None` for the re-assigning variants, which are not one engine
+/// run.
+fn scheduler_for(name: &str) -> Option<Box<dyn OnlineScheduler>> {
+    Some(match name {
+        "calibrate-immediately" => Box::new(CalibrateImmediately),
+        "ski-rental-batch" => Box::new(SkiRentalBatch),
+        "alg1" => Box::new(Alg1::new()),
+        "alg2" => Box::new(Alg2::new()),
+        "alg3" => Box::new(Alg3::new()),
+        "weighted-multi" => Box::new(WeightedMulti::new()),
+        _ => return None,
+    })
+}
+
+/// The `session-history` check for one batch run: steps an
+/// [`EngineSession`] one release group at a time, snapshots it at a
+/// seeded cut, restores it (re-snapshotting must give an equal snapshot)
+/// and drains the restored session with a fresh scheduler. The streamed
+/// deltas, `schedule_snapshot()`, `finish()`'s trace and interval flows,
+/// and `submitted_jobs()` must all match the batch run and the instance.
+fn session_history(inst: &Instance, g: Cost, name: &str, batch: &RunResult) -> Result<(), String> {
+    let Some(mut scheduler) = scheduler_for(name) else {
+        return Ok(());
+    };
+    let mut session =
+        EngineSession::new(inst.machines(), inst.cal_len(), g, EngineConfig::default())
+            .map_err(|e| e.to_string())?;
+    let groups: Vec<&[Job]> = inst
+        .jobs()
+        .chunk_by(|a, b| a.release == b.release)
+        .collect();
+    let cut = StdRng::seed_from_u64(0x5e55_1047 ^ inst.n() as u64).gen_range(0..=groups.len());
+    let mut streamed = Decisions::default();
+    for i in 0..=groups.len() {
+        if i == cut {
+            let snapshot = session.snapshot();
+            session = EngineSession::restore(&snapshot, NoopProbe)
+                .map_err(|e| format!("restore at group {cut}: {e}"))?;
+            if session.snapshot() != snapshot {
+                return Err(format!("re-snapshot after restore at group {cut} differs"));
+            }
+            scheduler = scheduler_for(name).ok_or("no scheduler")?;
+        }
+        let delta = match groups.get(i) {
+            Some(group) => session.step(group[0].release, group, scheduler.as_mut()),
+            None => session.drain(scheduler.as_mut()),
+        }
+        .map_err(|e| e.to_string())?;
+        streamed.calibrations.extend(delta.calibrations);
+        streamed.starts.extend(delta.starts);
+    }
+    if streamed.calibrations != batch.schedule.calibrations
+        || streamed.starts != batch.schedule.assignments
+    {
+        return Err("streamed decisions differ from the batch schedule".into());
+    }
+    if session.schedule_snapshot() != batch.schedule {
+        return Err("schedule_snapshot() differs from the batch schedule".into());
+    }
+    if session.submitted_jobs() != inst.jobs() {
+        return Err("submitted_jobs() differs from the instance's jobs".into());
+    }
+    let (outcome, _) = session.finish();
+    if outcome.trace != batch.trace {
+        return Err(format!(
+            "trace {:?} differs from the batch trace {:?}",
+            outcome.trace, batch.trace
+        ));
+    }
+    let interval_flow =
+        |r: &[calib_online::IntervalRecord]| -> Cost { r.iter().map(|iv| iv.total_flow()).sum() };
+    let (got, want) = (
+        interval_flow(&outcome.intervals),
+        interval_flow(&batch.intervals),
+    );
+    if outcome.intervals.len() != batch.intervals.len() || got != want {
+        return Err(format!(
+            "{} intervals with flow {got}, batch has {} with flow {want}",
+            outcome.intervals.len(),
+            batch.intervals.len()
+        ));
+    }
+    Ok(())
 }
 
 /// Renders a `catch_unwind` payload.

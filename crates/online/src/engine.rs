@@ -23,14 +23,22 @@
 //! whole instance at once, so both modes are *the same code* and produce
 //! byte-identical schedules — a property the `calib-serve` determinism
 //! tests pin down end to end.
+//!
+//! A session keeps live only what the schedulers and the next steps read:
+//! the pending and waiting jobs, reservations, coverage that has not yet
+//! expired, and the intervals that can still receive a job. The rest of
+//! its history — every calibration, trace label and job start — goes to a
+//! packed append-only log (`history.rs`) from which snapshots, schedules
+//! and the final outcome are replayed.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use calib_core::obs::{Event, NoopProbe, Probe};
 use calib_core::{
     check_schedule, Assignment, Calibration, Cost, Instance, Job, JobId, MachineId, Schedule, Time,
 };
 
+use crate::history::{Entry, History, Start};
 use crate::scheduler::{Decision, OnlineScheduler, Reservation};
 
 /// Per-machine live state.
@@ -38,14 +46,16 @@ use crate::scheduler::{Decision, OnlineScheduler, Reservation};
 pub struct MachineState {
     /// Merged calibrated segments `[start, end)`, ascending. Calibrations
     /// are only ever added at the current time, so pushes are in order.
+    /// Segments that end at or before the step being processed are
+    /// dropped: every query is at that step or later.
     coverage: Vec<(Time, Time)>,
     /// Slots strictly before this are consumed (a job ran or time passed).
     used_until: Time,
     /// Future pre-placed jobs (Algorithm 3 step 13), with the index of the
-    /// interval (into the engine's interval list) they were reserved into —
-    /// `None` when the reservation was issued without a calibration in the
-    /// same decision.
-    reservations: BTreeMap<Time, (JobId, Option<usize>)>,
+    /// interval (in calibration order) they were reserved into — `None`
+    /// when the reservation was issued without a calibration in the same
+    /// decision.
+    reservations: BTreeMap<Time, (Job, Option<usize>)>,
 }
 
 impl MachineState {
@@ -77,13 +87,14 @@ impl MachineState {
         Some(b.max(from))
     }
 
-    /// The machine's merged calibrated segments.
+    /// The machine's merged calibrated segments that have not yet expired
+    /// (those ending after the last processed step).
     pub fn coverage(&self) -> &[(Time, Time)] {
         &self.coverage
     }
 
     /// Reserved (future or current) slots: `slot -> (job, interval index)`.
-    pub fn reservations(&self) -> &BTreeMap<Time, (JobId, Option<usize>)> {
+    pub fn reservations(&self) -> &BTreeMap<Time, (Job, Option<usize>)> {
         &self.reservations
     }
 
@@ -143,7 +154,7 @@ impl MachineState {
     }
 
     fn add_calibration(&mut self, start: Time, cal_len: Time) {
-        let (b, e) = (start, start + cal_len);
+        let (b, e) = (start, start.saturating_add(cal_len));
         match self.coverage.last_mut() {
             Some(last) if b <= last.1 => last.1 = last.1.max(e),
             _ => {
@@ -190,7 +201,9 @@ pub struct EngineView<'a> {
     /// Waiting (released, unscheduled, unreserved) jobs in `(release, id)`
     /// order.
     pub waiting: &'a [Job],
-    /// All intervals calibrated so far, in calibration order.
+    /// The live intervals, in calibration order: those not yet expired
+    /// (the only ones that can still receive a job), and always the most
+    /// recent one. Older intervals live only in the session's history.
     pub intervals: &'a [IntervalRecord],
     /// The machine the next calibration would go to (round-robin pointer).
     pub next_rr_machine: MachineId,
@@ -533,6 +546,7 @@ fn intern_reason(label: &str) -> &'static str {
     const KNOWN: &[&str] = &[
         "calibrate",
         "naive:now",
+        "ski:flow>=G",
         crate::alg1::reason::QUEUE,
         crate::alg1::reason::FLOW,
         crate::alg1::reason::IMMEDIATE,
@@ -557,6 +571,23 @@ fn intern_reason(label: &str) -> &'static str {
         .copied()
         .find(|k| *k == label)
         .unwrap_or("calibrate")
+}
+
+/// Each machine's merged coverage as `calibrations` build it, in order —
+/// the live coverage before expired segments were dropped. Calibrations
+/// naming a missing machine are skipped.
+fn full_coverage(
+    calibrations: &[Calibration],
+    machines: usize,
+    cal_len: Time,
+) -> Vec<Vec<(Time, Time)>> {
+    let mut out = vec![MachineState::new(); machines];
+    for c in calibrations {
+        if let Some(m) = out.get_mut(c.machine.index()) {
+            m.add_calibration(c.start, cal_len);
+        }
+    }
+    out.into_iter().map(|m| m.coverage).collect()
 }
 
 /// Runs `scheduler` on `instance` with calibration cost `cal_cost`,
@@ -652,18 +683,22 @@ pub struct EngineSession<P: Probe = NoopProbe> {
     /// Submitted jobs not yet released into the waiting queue, sorted by
     /// `(release, id)` — the same canonical order an [`Instance`] keeps.
     pending: VecDeque<Job>,
-    /// Every job ever submitted, for duplicate detection and reserved-job
-    /// materialization.
-    known: HashMap<JobId, Job>,
+    /// Every job id ever submitted, for duplicate detection. A job that
+    /// has not started is in `pending`, `waiting` or its reservation; a
+    /// started one is in `history`.
+    ids: HashSet<JobId>,
     waiting: Vec<Job>,
     machines: Vec<MachineState>,
+    /// The live suffix of the interval list (see [`EngineView::intervals`]);
+    /// `intervals[0]` has index `history.calibrations() - intervals.len()`
+    /// in calibration order.
     intervals: Vec<IntervalRecord>,
-    /// Map from global interval index per machine for slot->interval lookup.
-    machine_intervals: Vec<Vec<usize>>,
     rr_next: usize,
-    calibrations: Vec<Calibration>,
-    assignments: Vec<Assignment>,
-    trace: Vec<(Time, &'static str)>,
+    /// Every calibration, trace label and job start so far.
+    history: History,
+    /// The decisions not yet handed out by
+    /// [`EngineSession::take_decisions`].
+    fresh: Decisions,
     pending_reservations: usize,
     config: EngineConfig,
     fuel: u64,
@@ -674,9 +709,6 @@ pub struct EngineSession<P: Probe = NoopProbe> {
     started: bool,
     /// The next step time the engine intends to process, `None` when idle.
     cursor: Option<Time>,
-    /// Delta marks for [`EngineSession::take_decisions`].
-    cal_mark: usize,
-    asg_mark: usize,
     probe: P,
 }
 
@@ -710,23 +742,19 @@ impl<P: Probe> EngineSession<P> {
             cal_len,
             cal_cost,
             pending: VecDeque::new(),
-            known: HashMap::new(),
+            ids: HashSet::new(),
             waiting: Vec::new(),
             machines: vec![MachineState::new(); machines],
             intervals: Vec::new(),
-            machine_intervals: vec![Vec::new(); machines],
             rr_next: 0,
-            calibrations: Vec::new(),
-            assignments: Vec::new(),
-            trace: Vec::new(),
+            history: History::default(),
+            fresh: Decisions::default(),
             pending_reservations: 0,
             fuel: config.max_steps,
             config,
             clock: 0,
             started: false,
             cursor: None,
-            cal_mark: 0,
-            asg_mark: 0,
             probe,
         })
     }
@@ -744,25 +772,41 @@ impl<P: Probe> EngineSession<P> {
 
     /// Number of jobs submitted so far.
     pub fn jobs_submitted(&self) -> usize {
-        self.known.len()
+        self.ids.len()
     }
 
     /// Number of calibrations issued so far.
     pub fn calibration_count(&self) -> usize {
-        self.calibrations.len()
+        self.history.calibrations()
     }
 
     /// Number of job starts materialized so far.
     pub fn assignment_count(&self) -> usize {
-        self.assignments.len()
+        self.history.starts()
     }
 
     /// Every job submitted so far, in canonical `(release, id)` order —
     /// ready for `Instance::new` when a serving layer wants to validate the
     /// session's schedule with the trusted checker.
     pub fn submitted_jobs(&self) -> Vec<Job> {
-        let mut jobs: Vec<Job> = self.known.values().copied().collect();
-        jobs.sort_by_key(|j| (j.release, j.id));
+        let mut started = Vec::with_capacity(self.history.starts());
+        self.history.replay(|entry| {
+            if let Entry::Start(s) = entry {
+                started.push(s.job);
+            }
+        });
+        self.with_unstarted(started)
+    }
+
+    /// `started` plus every job not yet started, sorted by `(release, id)`.
+    fn with_unstarted(&self, mut jobs: Vec<Job>) -> Vec<Job> {
+        jobs.reserve(self.ids.len().saturating_sub(jobs.len()));
+        jobs.extend(self.pending.iter().copied());
+        jobs.extend(self.waiting.iter().copied());
+        for m in &self.machines {
+            jobs.extend(m.reservations.values().map(|&(job, _)| job));
+        }
+        jobs.sort_unstable_by_key(|j| (j.release, j.id));
         jobs
     }
 
@@ -774,45 +818,59 @@ impl<P: Probe> EngineSession<P> {
 
     /// A copy of the schedule accumulated so far.
     pub fn schedule_snapshot(&self) -> Schedule {
-        Schedule::new(self.calibrations.clone(), self.assignments.clone())
+        let mut calibrations = Vec::with_capacity(self.history.calibrations());
+        let mut assignments = Vec::with_capacity(self.history.starts());
+        self.history.replay(|entry| match entry {
+            Entry::Calibration(c) => calibrations.push(c),
+            Entry::Start(s) => assignments.push(s.assignment()),
+            Entry::Trace(..) => {}
+        });
+        Schedule::new(calibrations, assignments)
     }
 
     /// Captures the session's complete state as an [`EngineSnapshot`] —
     /// the engine half of a serve-layer checkpoint record.
     pub fn snapshot(&self) -> EngineSnapshot {
+        let history = self.history.replay_all();
+        let coverage = full_coverage(&history.calibrations, self.machines.len(), self.cal_len);
+        let intervals = history
+            .intervals()
+            .into_iter()
+            .map(|iv| IntervalSnapshot {
+                machine: iv.machine,
+                start: iv.start,
+                jobs: iv.jobs.iter().map(|&(job, slot)| (job.id, slot)).collect(),
+            })
+            .collect();
+        let assignments = history.assignments();
         EngineSnapshot {
             cal_len: self.cal_len,
             cal_cost: self.cal_cost,
             config: self.config,
-            known: self.submitted_jobs(),
+            known: self.with_unstarted(history.starts.iter().map(|s| s.job).collect()),
             pending: self.pending.iter().map(|j| j.id).collect(),
             waiting: self.waiting.iter().map(|j| j.id).collect(),
             machines: self
                 .machines
                 .iter()
-                .map(|m| MachineSnapshot {
-                    coverage: m.coverage.clone(),
+                .zip(coverage)
+                .map(|(m, coverage)| MachineSnapshot {
+                    coverage,
                     used_until: m.used_until,
                     reservations: m
                         .reservations
                         .iter()
-                        .map(|(&slot, &(job, interval))| (slot, job, interval))
+                        .map(|(&slot, &(job, interval))| (slot, job.id, interval))
                         .collect(),
                 })
                 .collect(),
-            intervals: self
-                .intervals
-                .iter()
-                .map(|iv| IntervalSnapshot {
-                    machine: iv.machine,
-                    start: iv.start,
-                    jobs: iv.jobs.iter().map(|&(job, slot)| (job.id, slot)).collect(),
-                })
-                .collect(),
+            intervals,
             rr_next: self.rr_next,
-            calibrations: self.calibrations.clone(),
-            assignments: self.assignments.clone(),
-            trace: self
+            cal_mark: history.calibrations.len() - self.fresh.calibrations.len(),
+            asg_mark: assignments.len() - self.fresh.starts.len(),
+            calibrations: history.calibrations,
+            assignments,
+            trace: history
                 .trace
                 .iter()
                 .map(|&(t, reason)| (t, reason.to_string()))
@@ -821,115 +879,165 @@ impl<P: Probe> EngineSession<P> {
             clock: self.clock,
             started: self.started,
             cursor: self.cursor,
-            cal_mark: self.cal_mark,
-            asg_mark: self.asg_mark,
         }
     }
 
     /// Rebuilds a session from an [`EngineSnapshot`], observed by `probe`.
     ///
-    /// Derived state (`machine_intervals`, the outstanding-reservation
-    /// count) is recomputed; every cross-reference in the snapshot is
-    /// validated and an inconsistency is a typed
+    /// The history log, the live intervals and the outstanding-reservation
+    /// count are rebuilt rather than stored; every cross-reference in the
+    /// snapshot is validated and an inconsistency is a typed
     /// [`EngineError::CorruptSnapshot`] — a serving layer falls back to
-    /// full journal replay rather than trusting a damaged checkpoint.
+    /// full journal replay rather than trusting a damaged checkpoint. Each
+    /// submitted job must be in exactly one of `pending`, `waiting`, a
+    /// reservation or `assignments`, and the coverage and intervals must
+    /// be the ones the calibrations and assignments produce.
     pub fn restore(snapshot: &EngineSnapshot, probe: P) -> Result<Self, EngineError> {
         let corrupt = |reason: &'static str| EngineError::CorruptSnapshot { reason };
         if snapshot.machines.is_empty() {
             return Err(EngineError::NoMachines);
         }
-        let mut known: HashMap<JobId, Job> = HashMap::with_capacity(snapshot.known.len());
+        // Submitted jobs not yet found in a queue, reservation or start.
+        let mut unplaced: HashMap<JobId, Job> = HashMap::with_capacity(snapshot.known.len());
         for &job in &snapshot.known {
-            if known.insert(job.id, job).is_some() {
+            if unplaced.insert(job.id, job).is_some() {
                 return Err(corrupt("duplicate job id in submission record"));
             }
         }
-        let resolve = |id: JobId, context: &'static str| -> Result<Job, EngineError> {
-            known.get(&id).copied().ok_or(corrupt(context))
+        let ids: HashSet<JobId> = unplaced.keys().copied().collect();
+        let mut place = |id: JobId, context: &'static str| -> Result<Job, EngineError> {
+            unplaced.remove(&id).ok_or(corrupt(context))
         };
         let mut pending: Vec<Job> = Vec::with_capacity(snapshot.pending.len());
         for &id in &snapshot.pending {
-            pending.push(resolve(id, "pending job not in submission record")?);
+            pending.push(place(id, "pending job not in submission record")?);
         }
         pending.sort_by_key(|j| (j.release, j.id));
         let mut waiting: Vec<Job> = Vec::with_capacity(snapshot.waiting.len());
         for &id in &snapshot.waiting {
-            waiting.push(resolve(id, "waiting job not in submission record")?);
+            waiting.push(place(id, "waiting job not in submission record")?);
         }
         let mut machines: Vec<MachineState> = Vec::with_capacity(snapshot.machines.len());
         let mut pending_reservations = 0usize;
         for ms in &snapshot.machines {
-            if ms.coverage.windows(2).any(|w| w[0].1 >= w[1].0)
-                || ms.coverage.iter().any(|&(b, e)| b >= e)
-            {
-                return Err(corrupt("machine coverage segments not ascending"));
-            }
             let mut reservations = BTreeMap::new();
             for &(slot, id, interval) in &ms.reservations {
-                resolve(id, "reserved job not in submission record")?;
+                let job = place(id, "reserved job not in submission record")?;
                 if interval.is_some_and(|i| i >= snapshot.intervals.len()) {
                     return Err(corrupt("reservation references a missing interval"));
                 }
-                if reservations.insert(slot, (id, interval)).is_some() {
+                if reservations.insert(slot, (job, interval)).is_some() {
                     return Err(corrupt("two reservations share one slot"));
                 }
             }
             pending_reservations += reservations.len();
             machines.push(MachineState {
-                coverage: ms.coverage.clone(),
+                coverage: Vec::new(),
                 used_until: ms.used_until,
                 reservations,
             });
         }
-        let mut machine_intervals: Vec<Vec<usize>> = vec![Vec::new(); machines.len()];
-        let mut intervals: Vec<IntervalRecord> = Vec::with_capacity(snapshot.intervals.len());
+
+        // The history log, calibrations first so every start's interval
+        // is already recorded.
+        if snapshot.intervals.len() != snapshot.calibrations.len() {
+            return Err(corrupt("intervals disagree with calibrations"));
+        }
+        if snapshot
+            .calibrations
+            .iter()
+            .any(|c| c.machine.index() >= machines.len())
+        {
+            return Err(corrupt("calibration references a missing machine"));
+        }
+        let coverage = full_coverage(&snapshot.calibrations, machines.len(), snapshot.cal_len);
+        if coverage
+            .iter()
+            .zip(&snapshot.machines)
+            .any(|(c, ms)| *c != ms.coverage)
+        {
+            return Err(corrupt("machine coverage disagrees with calibrations"));
+        }
+        for (m, coverage) in machines.iter_mut().zip(coverage) {
+            m.coverage = coverage;
+        }
+        let mut history = History::default();
+        for &cal in &snapshot.calibrations {
+            history.push_calibration(cal);
+        }
+        for (t, reason) in &snapshot.trace {
+            history.push_trace(*t, intern_reason(reason));
+        }
+        let mut ran_in: HashMap<JobId, usize> = HashMap::new();
         for (i, iv) in snapshot.intervals.iter().enumerate() {
-            let Some(slots) = machine_intervals.get_mut(iv.machine.index()) else {
-                return Err(corrupt("interval references a missing machine"));
-            };
-            slots.push(i);
-            let mut jobs = Vec::with_capacity(iv.jobs.len());
-            for &(id, slot) in &iv.jobs {
-                jobs.push((resolve(id, "interval job not in submission record")?, slot));
+            for &(id, _) in &iv.jobs {
+                if ran_in.insert(id, i).is_some() {
+                    return Err(corrupt("a job runs in two intervals"));
+                }
             }
-            intervals.push(IntervalRecord {
-                machine: iv.machine,
-                start: iv.start,
-                jobs,
+        }
+        for a in &snapshot.assignments {
+            let job = place(a.job, "started job not in submission record")?;
+            history.push_start(&Start {
+                job,
+                slot: a.start,
+                machine: a.machine,
+                interval: ran_in.remove(&a.job),
             });
+        }
+        if !unplaced.is_empty() {
+            return Err(corrupt(
+                "submitted job neither queued, reserved nor started",
+            ));
+        }
+        let intervals = history.replay_all().intervals();
+        let agrees = intervals.len() == snapshot.intervals.len()
+            && intervals.iter().zip(&snapshot.intervals).all(|(iv, s)| {
+                iv.machine == s.machine
+                    && iv.start == s.start
+                    && iv
+                        .jobs
+                        .iter()
+                        .map(|&(j, slot)| (j.id, slot))
+                        .eq(s.jobs.iter().copied())
+            });
+        if !agrees {
+            return Err(corrupt(
+                "intervals disagree with calibrations and assignments",
+            ));
         }
         if snapshot.cal_mark > snapshot.calibrations.len()
             || snapshot.asg_mark > snapshot.assignments.len()
         {
             return Err(corrupt("delta mark beyond decision history"));
         }
-        Ok(EngineSession {
+        let mut session = EngineSession {
             cal_len: snapshot.cal_len,
             cal_cost: snapshot.cal_cost,
             pending: VecDeque::from(pending),
-            known,
+            ids,
             waiting,
             machines,
             intervals,
-            machine_intervals,
             rr_next: snapshot.rr_next,
-            calibrations: snapshot.calibrations.clone(),
-            assignments: snapshot.assignments.clone(),
-            trace: snapshot
-                .trace
-                .iter()
-                .map(|(t, reason)| (*t, intern_reason(reason)))
-                .collect(),
+            history,
+            fresh: Decisions {
+                calibrations: snapshot.calibrations[snapshot.cal_mark..].to_vec(),
+                starts: snapshot.assignments[snapshot.asg_mark..].to_vec(),
+            },
             pending_reservations,
             config: snapshot.config,
             fuel: snapshot.fuel,
             clock: snapshot.clock,
             started: snapshot.started,
             cursor: snapshot.cursor,
-            cal_mark: snapshot.cal_mark,
-            asg_mark: snapshot.asg_mark,
             probe,
-        })
+        };
+        if session.started {
+            // Every later step is after the clock.
+            session.retire(session.clock.saturating_add(1));
+        }
+        Ok(session)
     }
 
     /// Submits a batch of jobs to the arrival stream.
@@ -940,7 +1048,7 @@ impl<P: Probe> EngineSession<P> {
     /// serving.
     pub fn submit(&mut self, jobs: &[Job]) -> Result<(), EngineError> {
         for &job in jobs {
-            if self.known.contains_key(&job.id) {
+            if self.ids.contains(&job.id) {
                 return Err(EngineError::DuplicateJob { job: job.id });
             }
             if self.started && job.release <= self.clock {
@@ -950,7 +1058,7 @@ impl<P: Probe> EngineSession<P> {
                     horizon: self.clock,
                 });
             }
-            self.known.insert(job.id, job);
+            self.ids.insert(job.id);
             self.insert_pending(job);
             // A new early release may precede the previously predicted next
             // event; the engine must wake at the arrival instead.
@@ -994,35 +1102,31 @@ impl<P: Probe> EngineSession<P> {
     /// delta of decisions. The session stays open for further submissions.
     pub fn drain(&mut self, scheduler: &mut dyn OnlineScheduler) -> Result<Decisions, EngineError> {
         self.advance_to(Time::MAX, scheduler)?;
+        // A drained session may sit idle for long: hand back the spare
+        // capacity of the queues and the log.
+        self.pending.shrink_to_fit();
+        self.waiting.shrink_to_fit();
+        self.intervals.shrink_to_fit();
+        self.history.shrink_to_fit();
         Ok(self.take_decisions())
     }
 
     /// The decisions accumulated since the last delta was taken.
     pub fn take_decisions(&mut self) -> Decisions {
-        let decisions = Decisions {
-            calibrations: self.calibrations[self.cal_mark..].to_vec(),
-            starts: self.assignments[self.asg_mark..].to_vec(),
-        };
-        self.cal_mark = self.calibrations.len();
-        self.asg_mark = self.assignments.len();
-        decisions
+        std::mem::take(&mut self.fresh)
     }
 
     /// Closes the session and returns everything it produced, handing the
     /// probe back so owners can flush or inspect their sinks. Emits the
     /// `RunComplete` probe event, mirroring the batch engine.
     pub fn finish(mut self) -> (SessionOutcome, P) {
-        let flow: Cost = self
-            .assignments
+        let history = self.history.replay_all();
+        let flow: Cost = history
+            .starts
             .iter()
-            .map(|a| {
-                self.known
-                    .get(&a.job)
-                    .map(|j| j.flow_if_started(a.start))
-                    .unwrap_or(0)
-            })
+            .map(|s| s.job.flow_if_started(s.slot))
             .sum();
-        let calibrations = self.calibrations.len();
+        let calibrations = history.calibrations.len();
         if P::ENABLED {
             self.probe.record(&Event::RunComplete {
                 time: self.clock,
@@ -1030,13 +1134,15 @@ impl<P: Probe> EngineSession<P> {
                 calibrations: u64::try_from(calibrations).unwrap_or(u64::MAX),
             });
         }
+        let intervals = history.intervals();
+        let assignments = history.assignments();
         let outcome = SessionOutcome {
-            schedule: Schedule::new(self.calibrations, self.assignments),
+            schedule: Schedule::new(history.calibrations, assignments),
             flow,
             calibrations,
             cost: self.cal_cost * Cost::try_from(calibrations).unwrap_or(Cost::MAX) + flow,
-            intervals: self.intervals,
-            trace: self.trace,
+            intervals,
+            trace: history.trace,
         };
         (outcome, self.probe)
     }
@@ -1076,6 +1182,7 @@ impl<P: Probe> EngineSession<P> {
             .ok_or(EngineError::FuelExhausted { t })?;
         self.clock = t;
         self.started = true;
+        self.retire(t);
 
         // 1. Arrivals.
         let mut arrived_now = false;
@@ -1099,13 +1206,13 @@ impl<P: Probe> EngineSession<P> {
         self.decide_loop(t, arrived_now, scheduler, /*early=*/ true)?;
 
         // 3. Serve the current slot: reservations first, then auto.
-        self.materialize(t, Some(scheduler.auto_policy()))?;
+        self.materialize(t, Some(scheduler.auto_policy()));
 
         // 4. Late decisions (Algorithm 3); reservations for slot `t`
         //    itself are placed immediately, but no extra auto-assignment
         //    happens this step (the paper's lines 6–9 already ran).
         self.decide_loop(t, arrived_now, scheduler, /*early=*/ false)?;
-        self.materialize(t, None)?;
+        self.materialize(t, None);
 
         // Done?
         if self.is_idle() {
@@ -1165,6 +1272,31 @@ impl<P: Probe> EngineSession<P> {
         Ok(())
     }
 
+    /// Drops what no step at `t` or later reads: coverage segments that
+    /// end by `t`, and the leading intervals that expired by `t` — but
+    /// never the most recent interval. Their history stays in the log.
+    ///
+    /// No reservation loses its interval here: a reservation's interval is
+    /// calibrated in the step that reserves, when no coverage reaches
+    /// past that interval's end, so the reserved slot lies inside it.
+    fn retire(&mut self, t: Time) {
+        for m in &mut self.machines {
+            let ended = m.coverage.partition_point(|&(_, e)| e <= t);
+            m.coverage.drain(..ended);
+        }
+        let cal_len = self.cal_len;
+        let expired = self.intervals[..self.intervals.len().saturating_sub(1)]
+            .iter()
+            .take_while(|iv| iv.start.saturating_add(cal_len) <= t)
+            .count();
+        self.intervals.drain(..expired);
+    }
+
+    /// Calibration-order index of `intervals[0]`.
+    fn interval_base(&self) -> usize {
+        self.history.calibrations() - self.intervals.len()
+    }
+
     fn view(&self, t: Time, arrived_now: bool) -> EngineView<'_> {
         EngineView {
             t,
@@ -1207,18 +1339,20 @@ impl<P: Probe> EngineSession<P> {
             let m = self.rr_next % p;
             self.rr_next += 1;
             self.machines[m].add_calibration(t, self.cal_len);
-            self.calibrations.push(Calibration {
+            let cal = Calibration {
                 machine: MachineId::from_index(m),
                 start: t,
-            });
-            self.machine_intervals[m].push(self.intervals.len());
-            decision_interval = Some(self.intervals.len());
+            };
+            decision_interval = Some(self.history.calibrations());
+            self.history.push_calibration(cal);
+            self.history
+                .push_trace(t, decision.reason.unwrap_or("calibrate"));
+            self.fresh.calibrations.push(cal);
             self.intervals.push(IntervalRecord {
-                machine: MachineId::from_index(m),
+                machine: cal.machine,
                 start: t,
                 jobs: Vec::new(),
             });
-            self.trace.push((t, decision.reason.unwrap_or("calibrate")));
             if P::ENABLED {
                 self.probe.record(&Event::Calibrate {
                     time: t,
@@ -1241,7 +1375,7 @@ impl<P: Probe> EngineSession<P> {
             debug_assert!(job.release <= r.slot);
             self.machines[r.machine.index()]
                 .reservations
-                .insert(r.slot, (job.id, decision_interval));
+                .insert(r.slot, (job, decision_interval));
             self.pending_reservations += 1;
             if P::ENABLED {
                 self.probe.record(&Event::Reserve {
@@ -1256,23 +1390,14 @@ impl<P: Probe> EngineSession<P> {
 
     /// Serves slot `t` on every machine: a reservation if present, else (when
     /// `auto` is set) the best waiting job under the policy.
-    fn materialize(
-        &mut self,
-        t: Time,
-        auto: Option<calib_core::PriorityPolicy>,
-    ) -> Result<(), EngineError> {
+    fn materialize(&mut self, t: Time, auto: Option<calib_core::PriorityPolicy>) {
         for m in 0..self.machines.len() {
             if !self.machines[m].covers(t) || t < self.machines[m].used_until {
                 continue;
             }
             let (job, reserved_into) =
-                if let Some((id, iv)) = self.machines[m].reservations.remove(&t) {
+                if let Some((job, iv)) = self.machines[m].reservations.remove(&t) {
                     self.pending_reservations -= 1;
-                    // Reserved jobs were removed from `waiting` at reservation
-                    // time; find the Job in the submission record.
-                    let Some(&job) = self.known.get(&id) else {
-                        return Err(EngineError::ReservedJobNotWaiting { job: id });
-                    };
                     (Some(job), iv)
                 } else if let Some(policy) = auto {
                     (self.pop_waiting(policy), None)
@@ -1280,8 +1405,7 @@ impl<P: Probe> EngineSession<P> {
                     (None, None)
                 };
             if let Some(job) = job {
-                self.assignments
-                    .push(Assignment::new(job.id, t, MachineId::from_index(m)));
+                let machine = MachineId::from_index(m);
                 self.machines[m].used_until = t + 1;
                 if P::ENABLED {
                     self.probe.record(&Event::Dispatch {
@@ -1295,22 +1419,33 @@ impl<P: Probe> EngineSession<P> {
                 // (overlapping same-machine intervals make "latest covering"
                 // ambiguous); auto-scheduled jobs go to the latest covering
                 // interval.
-                let iv = reserved_into.or_else(|| {
-                    self.machine_intervals[m]
+                let base = self.interval_base();
+                let interval = reserved_into.or_else(|| {
+                    self.intervals
                         .iter()
-                        .rev()
-                        .find(|&&iv| {
-                            self.intervals[iv].start <= t
-                                && t < self.intervals[iv].start + self.cal_len
+                        .rposition(|iv| {
+                            iv.machine == machine
+                                && iv.start <= t
+                                && t < iv.start.saturating_add(self.cal_len)
                         })
-                        .copied()
+                        .map(|i| base + i)
                 });
-                if let Some(iv) = iv {
-                    self.intervals[iv].jobs.push((job, t));
+                if let Some(live) = interval
+                    .and_then(|i| i.checked_sub(base))
+                    .and_then(|i| self.intervals.get_mut(i))
+                {
+                    live.jobs.push((job, t));
                 }
+                let start = Start {
+                    job,
+                    slot: t,
+                    machine,
+                    interval,
+                };
+                self.history.push_start(&start);
+                self.fresh.starts.push(start.assignment());
             }
         }
-        Ok(())
     }
 
     fn pop_waiting(&mut self, policy: calib_core::PriorityPolicy) -> Option<Job> {
@@ -1622,6 +1757,58 @@ mod tests {
             restored.snapshot().trace.last().map(|(_, r)| r.as_str()),
             Some("calibrate")
         );
+    }
+
+    /// Restore rebuilds the history log from the snapshot, so a snapshot
+    /// whose coverage, intervals or job placement disagree with its
+    /// calibrations and assignments is corrupt.
+    #[test]
+    fn restore_rejects_snapshots_that_disagree_with_their_history() {
+        let mut session = EngineSession::new(1, 3, 2, EngineConfig::default()).unwrap();
+        let jobs: Vec<Job> = [0, 0, 1, 9, 9, 30]
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| Job::unweighted(u32::try_from(i).unwrap(), r))
+            .collect();
+        session.submit(&jobs).unwrap();
+        session.step(10, &[], &mut crate::Alg1::new()).unwrap();
+        let good = session.snapshot();
+        assert!(good.intervals.len() >= 2 && good.intervals[0].jobs.len() >= 2);
+        assert!(!good.pending.is_empty());
+        assert!(EngineSession::restore(&good, NoopProbe).is_ok());
+
+        let code = |snapshot: &EngineSnapshot| match EngineSession::restore(snapshot, NoopProbe) {
+            Err(e) => e.code(),
+            Ok(_) => "accepted",
+        };
+        let mut coverage = good.clone();
+        coverage.machines[0].coverage[0].1 += 1;
+        assert_eq!(code(&coverage), "corrupt-snapshot");
+
+        let mut missing_interval = good.clone();
+        missing_interval.intervals.pop();
+        assert_eq!(code(&missing_interval), "corrupt-snapshot");
+
+        let mut reordered = good.clone();
+        reordered.intervals[0].jobs.reverse();
+        assert_eq!(code(&reordered), "corrupt-snapshot");
+
+        let mut moved = good.clone();
+        let job = moved.intervals[0].jobs.remove(0);
+        moved.intervals[1].jobs.push(job);
+        assert_eq!(code(&moved), "corrupt-snapshot");
+
+        let mut twice = good.clone();
+        twice.waiting.push(twice.assignments[0].job);
+        assert_eq!(code(&twice), "corrupt-snapshot");
+
+        let mut unplaced = good.clone();
+        unplaced.pending.clear();
+        assert_eq!(code(&unplaced), "corrupt-snapshot");
+
+        let mut far_machine = good;
+        far_machine.calibrations[0].machine = MachineId(5);
+        assert_eq!(code(&far_machine), "corrupt-snapshot");
     }
 
     /// `step(now)` must not advance past `now`: decisions due later arrive

@@ -35,6 +35,7 @@ pub mod alg2;
 pub mod alg3;
 pub mod baselines;
 pub mod engine;
+mod history;
 pub mod randomized;
 pub mod scheduler;
 pub mod tunable;

@@ -135,11 +135,12 @@ impl LineSink {
 /// Transport faults are answered on `sink` here. A line over
 /// [`MAX_LINE_BYTES`] gets `line-too-long`, and the rest of it is skipped,
 /// so the next line is read whole and the connection stays open. A line
-/// that does not parse gets `bad-json`. A read timeout gets `read-timeout`
-/// and ends the loop.
+/// that is not UTF-8 or does not parse gets `bad-json`; the reply for bad
+/// UTF-8 echoes none of the line's bytes. A read timeout gets
+/// `read-timeout` and ends the loop.
 pub fn read_lines(input: impl Read, sink: &LineSink, mut handle: impl FnMut(&str, Json) -> bool) {
     let mut reader = BufReader::new(input);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
         match read_bounded_line(&mut reader, &mut line) {
@@ -167,6 +168,15 @@ pub fn read_lines(input: impl Read, sink: &LineSink, mut handle: impl FnMut(&str
             }
             Err(_) => break,
         }
+        let Ok(line) = std::str::from_utf8(&line) else {
+            sink.send(&Reply::error(
+                "bad-json",
+                "request line is not valid UTF-8",
+                None,
+                None,
+            ));
+            continue;
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -184,13 +194,14 @@ pub fn read_lines(input: impl Read, sink: &LineSink, mut handle: impl FnMut(&str
     }
 }
 
-/// Reads one `\n`-terminated line, rejecting lines over [`MAX_LINE_BYTES`].
+/// Reads one `\n`-terminated line of raw bytes, rejecting lines over
+/// [`MAX_LINE_BYTES`].
 /// A peer streaming an endless line must not balloon the buffer, so the
 /// rest of an oversized line is read and dropped in buffer-sized pieces.
-fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
+fn read_bounded_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<usize> {
     let mut taken = reader.take(u64::try_from(MAX_LINE_BYTES).unwrap_or(u64::MAX));
-    let n = taken.read_line(line)?;
-    if n >= MAX_LINE_BYTES && !line.ends_with('\n') {
+    let n = taken.read_until(b'\n', line)?;
+    if n >= MAX_LINE_BYTES && line.last() != Some(&b'\n') {
         let reader = taken.get_mut();
         loop {
             let buf = reader.fill_buf()?;

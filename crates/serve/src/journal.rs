@@ -25,7 +25,7 @@
 //! a torn line anywhere *else* means external corruption and is an error.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 use calib_core::json::{FromJson, Json, ObjWriter};
@@ -283,10 +283,13 @@ pub fn compact_tmp_path(journal: &Path) -> PathBuf {
 }
 
 /// An open per-tenant journal file, appended write-ahead.
+///
+/// Each record goes to the file with one `write_all` of its whole line,
+/// so the writer holds no buffer of its own while a session sits idle.
 #[derive(Debug)]
 pub struct JournalWriter {
     path: PathBuf,
-    file: BufWriter<File>,
+    file: File,
     policy: FsyncPolicy,
 }
 
@@ -299,22 +302,14 @@ impl JournalWriter {
         let path = journal_path(dir, tenant);
         let _ = std::fs::remove_file(compact_tmp_path(&path));
         let file = File::create(&path)?;
-        Ok(JournalWriter {
-            path,
-            file: BufWriter::new(file),
-            policy,
-        })
+        Ok(JournalWriter { path, file, policy })
     }
 
     /// Reopens an existing journal for appending (the recovery path).
     pub fn open_append(dir: &Path, tenant: &str, policy: FsyncPolicy) -> io::Result<JournalWriter> {
         let path = journal_path(dir, tenant);
         let file = OpenOptions::new().append(true).open(&path)?;
-        Ok(JournalWriter {
-            path,
-            file: BufWriter::new(file),
-            policy,
-        })
+        Ok(JournalWriter { path, file, policy })
     }
 
     /// The journal's on-disk location.
@@ -334,7 +329,7 @@ impl JournalWriter {
         }
     }
 
-    /// Appends one record, flushing to the OS and fsyncing per policy.
+    /// Appends one record with one write to the OS, fsyncing per policy.
     /// Must be called *before* the request is applied to the engine.
     pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
         self.append_counted(record).map(|_| ())
@@ -346,9 +341,8 @@ impl JournalWriter {
         let sync = self.will_sync(record);
         let line = record.to_line();
         self.file.write_all(line.as_bytes())?;
-        self.file.flush()?;
         if sync {
-            self.file.get_ref().sync_data()?;
+            self.file.sync_data()?;
         }
         Ok(u64::try_from(line.len()).unwrap_or(u64::MAX))
     }
@@ -382,7 +376,7 @@ impl JournalWriter {
             Ok((file, bytes)) => (
                 JournalWriter {
                     path: self.path,
-                    file: BufWriter::new(file),
+                    file,
                     policy: self.policy,
                 },
                 Ok(bytes),

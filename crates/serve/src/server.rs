@@ -1394,7 +1394,11 @@ mod tests {
 
     /// Drives `serve_stream` with a scripted input and captures the output.
     fn transcript(lines: &[&str]) -> Vec<Json> {
-        let input = lines.join("\n") + "\n";
+        transcript_bytes((lines.join("\n") + "\n").as_bytes())
+    }
+
+    /// [`transcript`] over raw input bytes.
+    fn transcript_bytes(input: &[u8]) -> Vec<Json> {
         let out = Arc::new(Mutex::new(Vec::<u8>::new()));
         struct SharedBuf(Arc<Mutex<Vec<u8>>>);
         impl Write for SharedBuf {
@@ -1407,7 +1411,7 @@ mod tests {
             }
         }
         let report = serve_stream(
-            input.as_bytes(),
+            input,
             Box::new(SharedBuf(Arc::clone(&out))),
             ServerConfig {
                 workers: 2,
@@ -1564,6 +1568,21 @@ mod tests {
         assert_eq!(
             replies[0].get("code").and_then(Json::as_str),
             Some("bad-json")
+        );
+        assert_eq!(replies[1].get("type").and_then(Json::as_str), Some("pong"));
+    }
+
+    #[test]
+    fn non_utf8_line_is_bad_json_and_the_stream_keeps_serving() {
+        let replies = transcript_bytes(b"\xff\xfe\n{\"type\":\"ping\",\"seq\":1}\n");
+        assert_eq!(replies.len(), 2, "{replies:?}");
+        assert_eq!(
+            replies[0].get("code").and_then(Json::as_str),
+            Some("bad-json")
+        );
+        assert_eq!(
+            replies[0].get("message").and_then(Json::as_str),
+            Some("request line is not valid UTF-8")
         );
         assert_eq!(replies[1].get("type").and_then(Json::as_str), Some("pong"));
     }
