@@ -97,14 +97,17 @@ impl LineSink {
         // lint:allow(lock-discipline): deliberate hold across the write
         let mut guard = lock(&self.writer);
         if let Some(w) = guard.as_mut() {
+            // Counted before the bytes can reach the peer (a line longer
+            // than the buffer goes straight through), so a client that
+            // reads this reply and then asks for `metrics` sees it counted.
+            if let Some(m) = &self.metrics {
+                m.replies.fetch_add(1, Ordering::Relaxed);
+            }
             if w.out.write_all(line.as_bytes()).is_err() {
                 *guard = None;
                 return;
             }
             w.unflushed = true;
-            if let Some(m) = &self.metrics {
-                m.replies.fetch_add(1, Ordering::Relaxed);
-            }
         }
     }
 
@@ -116,14 +119,15 @@ impl LineSink {
         // lint:allow(lock-discipline): deliberate hold across the flush
         let mut guard = lock(&self.writer);
         if let Some(w) = guard.as_mut().filter(|w| w.unflushed) {
+            // Counted before the flush, for the same reason as `replies`.
+            if let Some(m) = &self.metrics {
+                m.reply_flushes.fetch_add(1, Ordering::Relaxed);
+            }
             if w.out.flush().is_err() {
                 *guard = None;
                 return;
             }
             w.unflushed = false;
-            if let Some(m) = &self.metrics {
-                m.reply_flushes.fetch_add(1, Ordering::Relaxed);
-            }
         }
     }
 }

@@ -761,8 +761,9 @@ fn shedding_under_inflight_budget_recovers_exactly() {
 }
 
 fn send_line(stream: &mut TcpStream, line: &str) {
-    stream.write_all(line.as_bytes()).expect("write");
-    stream.write_all(b"\n").expect("write newline");
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("write");
     stream.flush().expect("flush");
 }
 

@@ -185,8 +185,7 @@ fn daemon_schedule_is_byte_identical_to_batch() {
 }
 
 fn send_line(stream: &mut TcpStream, line: &str) {
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
     stream.flush().unwrap();
 }
 

@@ -19,8 +19,7 @@ use calib_difftest::{gen_case_sized, GenParams};
 use calib_serve::{serve, serve_stream, LineSink, ServerConfig};
 
 fn send_line(stream: &mut TcpStream, line: &str) {
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
     stream.flush().unwrap();
 }
 
