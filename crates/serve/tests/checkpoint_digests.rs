@@ -9,8 +9,10 @@
 //! compared against a constant, so any change to how the engine stores
 //! its history that alters one checkpoint byte fails here.
 
-use calib_core::{Job, JobId, Time};
-use calib_serve::{Algorithm, JournalRecord, TenantConfig, TenantSession};
+use std::ops::RangeInclusive;
+
+use calib_core::{Cost, Job, JobId, Time};
+use calib_serve::{Algorithm, CheckpointState, JournalRecord, TenantConfig, TenantSession};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,13 +28,25 @@ fn digest(session: &TenantSession) -> u64 {
     fnv1a(line.as_bytes())
 }
 
+/// The dense load of the first three cases: 0–2 jobs per release group,
+/// gaps of 1–2 steps.
+const DENSE: (RangeInclusive<u32>, RangeInclusive<Time>) = (0..=2, 1..=2);
+
 /// `n` jobs with ids from `first_id`, released in groups from `start`:
-/// gaps of 1–2 steps, 0–2 jobs per group, weights in `1..=max_weight`.
-fn jobs(rng: &mut StdRng, first_id: u32, n: usize, start: Time, max_weight: u64) -> Vec<Job> {
+/// `per_group` jobs per group, `gap` steps between groups, weights in
+/// `1..=max_weight`.
+fn jobs(
+    rng: &mut StdRng,
+    first_id: u32,
+    n: usize,
+    start: Time,
+    max_weight: u64,
+    (per_group, gap): &(RangeInclusive<u32>, RangeInclusive<Time>),
+) -> Vec<Job> {
     let mut out = Vec::with_capacity(n);
     let mut release = start;
     while out.len() < n {
-        for _ in 0..rng.gen_range(0..=2u32) {
+        for _ in 0..rng.gen_range(per_group.clone()) {
             if out.len() == n {
                 break;
             }
@@ -43,7 +57,7 @@ fn jobs(rng: &mut StdRng, first_id: u32, n: usize, start: Time, max_weight: u64)
                 weight: rng.gen_range(1..=max_weight),
             });
         }
-        release += rng.gen_range(1..=2i64);
+        release += rng.gen_range(gap.clone());
     }
     out
 }
@@ -76,38 +90,47 @@ fn rich_cut(session: &TenantSession, reservations: bool) -> bool {
     !e.waiting.is_empty() && open && (reserved || !reservations)
 }
 
-/// The three digests for one tenant: mid-run, drained, and restored,
-/// extended and drained again.
-fn digests(algorithm: Algorithm, machines: usize, max_weight: u64, seed: u64) -> [u64; 3] {
+/// The three digests for one tenant with `T = 6` and `G = cal_cost`:
+/// mid-run, drained, and restored, extended and drained again. Also
+/// returns the mid-run checkpoint.
+fn digests(
+    algorithm: Algorithm,
+    machines: usize,
+    max_weight: u64,
+    seed: u64,
+    cal_cost: Cost,
+    load: &(RangeInclusive<u32>, RangeInclusive<Time>),
+) -> ([u64; 3], CheckpointState) {
     let config = TenantConfig {
         machines,
         cal_len: 6,
-        cal_cost: 20,
+        cal_cost,
         algorithm,
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let first = jobs(&mut rng, 0, 1_000, 0, max_weight);
+    let first = jobs(&mut rng, 0, 1_000, 0, max_weight, load);
     let mut session = TenantSession::new("digest", config, None).expect("session");
 
     let mut mid = None;
     let half = first[first.len() / 2].release;
     drive(&mut session, &first, |s| {
         if mid.is_none() && s.now().is_some_and(|now| now >= half) && rich_cut(s, machines > 1) {
-            mid = Some(digest(s));
+            mid = Some((digest(s), s.checkpoint_state()));
         }
     });
-    let mid = mid.expect("a mid-run cut with waiting jobs, an open interval and reservations");
+    let (mid, mid_state) =
+        mid.expect("a mid-run cut with waiting jobs, an open interval and reservations");
     session.drain(None).expect("drain");
     let drained = digest(&session);
 
     let state = session.checkpoint_state();
     let mut restored = TenantSession::restore_from_checkpoint(&state).expect("restore");
     let resume = state.engine.clock + 1;
-    let more = jobs(&mut rng, 1_000, 200, resume, max_weight);
+    let more = jobs(&mut rng, 1_000, 200, resume, max_weight, load);
     drive(&mut restored, &more, |_| {});
     restored.drain(None).expect("second drain");
     let again = digest(&restored);
-    [mid, drained, again]
+    ([mid, drained, again], mid_state)
 }
 
 fn check(name: &str, got: [u64; 3], want: [u64; 3]) {
@@ -120,7 +143,7 @@ fn check(name: &str, got: [u64; 3], want: [u64; 3]) {
 
 #[test]
 fn alg1_checkpoint_digests_are_pinned() {
-    let got = digests(Algorithm::Alg1, 1, 1, 11);
+    let (got, _) = digests(Algorithm::Alg1, 1, 1, 11, 20, &DENSE);
     check(
         "alg1",
         got,
@@ -130,7 +153,7 @@ fn alg1_checkpoint_digests_are_pinned() {
 
 #[test]
 fn alg2_checkpoint_digests_are_pinned() {
-    let got = digests(Algorithm::Alg2, 1, 9, 22);
+    let (got, _) = digests(Algorithm::Alg2, 1, 9, 22, 20, &DENSE);
     check(
         "alg2",
         got,
@@ -140,10 +163,28 @@ fn alg2_checkpoint_digests_are_pinned() {
 
 #[test]
 fn alg3_checkpoint_digests_are_pinned() {
-    let got = digests(Algorithm::Alg3, 2, 1, 33);
+    let (got, _) = digests(Algorithm::Alg3, 2, 1, 33, 20, &DENSE);
     check(
         "alg3",
         got,
         [0x6110972c0ad928f0, 0x9bce1226ffa11c34, 0xc41e00617b503758],
+    );
+}
+
+/// A lightly loaded Alg1 tenant (`G = 12`, 0–3 jobs every 3–12 steps):
+/// intervals often expire before the next release, so Algorithm 1's
+/// immediate-calibration rule fires, and it reads the most recent
+/// interval after that interval has expired.
+#[test]
+fn alg1_immediate_rule_checkpoint_digests_are_pinned() {
+    let (got, mid) = digests(Algorithm::Alg1, 1, 1, 44, 12, &(0..=3, 3..=12));
+    assert!(
+        mid.engine.trace.iter().any(|(_, l)| l == "alg1:immediate"),
+        "the immediate-calibration rule never fired before the mid-run cut"
+    );
+    check(
+        "alg1 immediate",
+        got,
+        [0x367f7fa29c94231d, 0x024e4acfd288db06, 0xe892b3b0f3fee8ac],
     );
 }
