@@ -257,20 +257,24 @@ impl JournalRecord {
     }
 }
 
-/// Maps a tenant name onto its journal file, using the same conservative
-/// charset mapping as the trace files (names go into paths).
-pub fn journal_path(dir: &Path, tenant: &str) -> PathBuf {
-    let safe: String = tenant
+/// A tenant's name as a file stem. Names go into paths, so every byte
+/// outside a conservative charset becomes `_`.
+fn file_stem(tenant: &str) -> String {
+    let safe = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
+    tenant
         .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    dir.join(format!("{safe}.journal.jsonl"))
+        .map(|c| if safe(c) { c } else { '_' })
+        .collect()
+}
+
+/// Maps a tenant name onto its journal file.
+pub fn journal_path(dir: &Path, tenant: &str) -> PathBuf {
+    dir.join(format!("{}.journal.jsonl", file_stem(tenant)))
+}
+
+/// Maps a tenant name onto its `--trace-dir` file.
+pub(crate) fn trace_path(dir: &Path, tenant: &str) -> PathBuf {
+    dir.join(format!("{}.jsonl", file_stem(tenant)))
 }
 
 /// The scratch file a compaction writes its checkpoint into before the
@@ -738,6 +742,8 @@ mod tests {
         let dir = PathBuf::from("/journals");
         let p = journal_path(&dir, "../../etc/passwd");
         assert_eq!(p, dir.join("______etc_passwd.journal.jsonl"));
+        let p = trace_path(&dir, "../../etc/passwd");
+        assert_eq!(p, dir.join("______etc_passwd.jsonl"));
     }
 
     /// A journaled session with some real state to checkpoint.

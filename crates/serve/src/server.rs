@@ -269,11 +269,64 @@ impl Shared {
         tenant
     }
 
-    fn lock_tenants(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<Tenant>>> {
-        match self.tenants.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
+    /// The live tenant named `name`, if any.
+    fn lookup(&self, name: &str) -> Option<Arc<Tenant>> {
+        lock(&self.tenants).get(name).cloned()
+    }
+
+    /// Installs a tenant: the one registration path for `hello`, `adopt`
+    /// and journal recovery. A name that is already live is answered by
+    /// `on_live`, called after the map guard is dropped; a full registry
+    /// is answered `tenant-limit`. Otherwise `open` builds the session
+    /// and its journal under the map lock, so the entry never becomes
+    /// visible before its journal exists (write-ahead), and racing
+    /// installs for one name cannot truncate each other's files; an
+    /// `open` error is answered with its code. `conn: None` installs the
+    /// tenant detached. `Err` holds the reply, for the caller's `seq`,
+    /// when the tenant is not installed.
+    fn install(
+        &self,
+        name: &str,
+        conn: Option<u64>,
+        weight: u64,
+        seq: Option<u64>,
+        on_live: impl FnOnce(&Tenant) -> Reply,
+        open: impl FnOnce() -> Result<TenantSession, SessionError>,
+    ) -> Result<Arc<Tenant>, Box<Reply>> {
+        // lint:allow(lock-discipline): registration is write-ahead
+        let mut tenants = lock(&self.tenants);
+        if let Some(live) = tenants.get(name).cloned() {
+            drop(tenants);
+            return Err(Box::new(on_live(&live)));
         }
+        let refused = |code, message| Box::new(Reply::error(code, message, Some(name), seq));
+        if tenants.len() >= self.config.max_tenants {
+            let cap = self.config.max_tenants;
+            let message =
+                format!("server is at its tenant cap ({cap}); retry after sessions close");
+            return Err(refused("tenant-limit", message));
+        }
+        let mut session = open().map_err(|e| refused(e.code, e.message))?;
+        session.set_checkpoint_policy(self.config.checkpoint_every, self.config.compact_on_idle);
+        let metrics = self.attach_metrics(name, &mut session);
+        let tenant = Arc::new(Tenant::new(name, conn, session, metrics));
+        tenants.insert(name.to_string(), Arc::clone(&tenant));
+        drop(tenants);
+        // An installed session supersedes any migration tombstone.
+        lock(&self.moved).remove(name);
+        // The fair-share weight lives only in the admission layer: it
+        // shapes token refill and the shed order, never scheduling state,
+        // so checkpoints and migrations stay byte-identical.
+        self.admission.register(name, weight);
+        Ok(tenant)
+    }
+
+    /// Removes a closed or evicted tenant from the registry and from
+    /// admission control, and marks its metrics closed.
+    fn unregister(&self, tenant: &Tenant) {
+        lock(&self.tenants).remove(&tenant.name);
+        self.admission.deregister(&tenant.name);
+        tenant.metrics.open.store(false, Ordering::Relaxed);
     }
 
     /// True if `name` is tombstoned as migrated to another shard. The
@@ -281,6 +334,17 @@ impl Shared {
     /// hold it across replies or other locks.
     fn tenant_moved(&self, name: &str) -> bool {
         lock(&self.moved).contains(name)
+    }
+
+    /// The answer for a request addressed to a tenant that is not live:
+    /// `tenant-moved` if it was evicted to another shard, otherwise
+    /// `unknown-tenant` saying `why`.
+    fn absent(&self, name: &str, seq: Option<u64>, why: String) -> Reply {
+        if self.tenant_moved(name) {
+            moved_reply(name, seq)
+        } else {
+            Reply::error("unknown-tenant", why, Some(name), seq)
+        }
     }
 
     /// Pushes `tenant` onto the ready list if no worker owns it.
@@ -392,6 +456,25 @@ impl Shared {
     }
 }
 
+/// A journal file failure while installing a tenant.
+fn journal_io(message: String) -> SessionError {
+    SessionError {
+        code: "journal-io",
+        message,
+    }
+}
+
+/// The redirect for a tenant evicted to another shard: the client
+/// reconnects and resumes against the new owner.
+fn moved_reply(tenant: &str, seq: Option<u64>) -> Reply {
+    Reply::error(
+        CODE_TENANT_MOVED,
+        format!("tenant `{tenant}` was migrated to another shard"),
+        Some(tenant),
+        seq,
+    )
+}
+
 /// The requests admission control gates: the work-bearing mutations. An
 /// admitted one holds an in-flight slot until its worker finishes it.
 fn admission_gated(req: &Request) -> bool {
@@ -428,7 +511,7 @@ pub fn serve(listener: TcpListener, config: ServerConfig) -> io::Result<ServeRep
     let shared = Shared::new(config);
     let (accepted, report) = run_server(&shared, |scope| {
         let shared = &shared;
-        let idle = || shared.config.exit_when_idle && shared.lock_tenants().is_empty();
+        let idle = || shared.config.exit_when_idle && lock(&shared.tenants).is_empty();
         conn::accept_loop(
             scope,
             &listener,
@@ -553,341 +636,218 @@ fn run_connection(shared: &Shared, conn: u64, input: impl Read, output: Box<dyn 
 /// Routes one parsed request. Returns `false` when the connection should
 /// be dropped (the server shed this client).
 fn route(shared: &Shared, conn: u64, request: Request, sink: &Arc<LineSink>) -> bool {
-    // `ping` is answered inline by the reader, bypassing tenant queues —
-    // the liveness probe must work even when every worker is busy.
-    if let Request::Ping { seq } = &request {
-        sink.send(&Reply::Pong {
+    let reply = match request {
+        // `ping` is answered inline by the reader, bypassing tenant queues —
+        // the liveness probe must work even when every worker is busy.
+        Request::Ping { seq } => Reply::Pong {
             connections: shared.metrics.connections.load(Ordering::Relaxed),
             active_connections: shared.metrics.active_connections.load(Ordering::Relaxed),
-            tenants: u64::try_from(shared.lock_tenants().len()).unwrap_or(u64::MAX),
+            tenants: u64::try_from(lock(&shared.tenants).len()).unwrap_or(u64::MAX),
             requests: shared.metrics.requests.load(Ordering::Relaxed),
             busy_drops: shared.metrics.busy_drops.load(Ordering::Relaxed),
-            seq: *seq,
-        });
-        return true;
-    }
-
-    // `metrics` is likewise answered inline by the reader: a full-registry
-    // snapshot is lock-light and must stay readable while workers grind.
-    if let Request::Metrics { seq } = &request {
-        sink.send(&Reply::Metrics {
+            seq,
+        },
+        // `metrics` is likewise answered inline by the reader: a
+        // full-registry snapshot is lock-light and must stay readable while
+        // workers grind.
+        Request::Metrics { seq } => Reply::Metrics {
             snapshot: shared.metrics.snapshot_json(),
-            seq: *seq,
-        });
-        return true;
-    }
-
-    if let Request::Resume { tenant, seq } = &request {
-        route_resume(shared, conn, tenant, *seq, request.clone(), sink);
-        return true;
-    }
-
-    if let Request::Hello {
-        tenant,
-        machines,
-        cal_len,
-        cal_cost,
-        algorithm,
-        weight,
-        seq,
-    } = &request
-    {
-        let Some(algorithm) = Algorithm::from_name(algorithm) else {
-            sink.send(&Reply::error(
+            seq,
+        },
+        Request::Resume { .. } => match route_resume(shared, conn, request, sink) {
+            Some(reply) => reply,
+            None => return true,
+        },
+        // `hello` and `adopt` are handled inline: they only touch the
+        // registry and must not race other registrations for the name.
+        Request::Hello {
+            tenant,
+            machines,
+            cal_len,
+            cal_cost,
+            algorithm,
+            weight,
+            seq,
+        } => match Algorithm::from_name(&algorithm) {
+            Some(algorithm) => {
+                let config = TenantConfig {
+                    machines,
+                    cal_len,
+                    cal_cost,
+                    algorithm,
+                };
+                route_hello(shared, conn, &tenant, config, weight, seq)
+            }
+            None => Reply::error(
                 "unknown-algorithm",
                 format!("no algorithm named `{algorithm}`"),
-                Some(tenant),
-                *seq,
-            ));
-            return true;
-        };
-        // Write-ahead registration — the tenant map entry must not become
-        // visible before its journal and trace files exist, so file
-        // creation happens under the map lock.
-        // lint:allow(lock-discipline): registration is write-ahead
-        let mut tenants = shared.lock_tenants();
-        if let Some(existing) = tenants.get(tenant.as_str()) {
-            // A resent/duplicated hello is benign when the seq chain proves
-            // this exact request was already applied; anything else is a
-            // genuine name collision.
-            let already_applied = match (*seq, lock(&existing.session).as_ref()) {
-                (Some(s), Some(session)) => session.last_seq().is_some_and(|last| s <= last),
-                _ => false,
-            };
-            drop(tenants);
-            if already_applied {
-                sink.send(&Reply::Ok {
-                    tenant: tenant.clone(),
-                    seq: *seq,
-                });
-            } else {
-                sink.send(&Reply::error(
-                    "duplicate-tenant",
-                    format!("tenant `{tenant}` already exists"),
-                    Some(tenant),
-                    *seq,
-                ));
+                Some(&tenant),
+                seq,
+            ),
+        },
+        Request::Adopt { state, seq, .. } => route_adopt(shared, *state, seq),
+        request => match shared.lookup(request.tenant()) {
+            Some(t) => return shared.enqueue(&t, request, sink),
+            None => shared.absent(
+                request.tenant(),
+                request.seq(),
+                format!("no tenant named `{}`", request.tenant()),
+            ),
+        },
+    };
+    sink.send(&reply);
+    true
+}
+
+/// Handles `hello`: installs a fresh session, journaled from its opening
+/// record.
+fn route_hello(
+    shared: &Shared,
+    conn: u64,
+    tenant: &str,
+    config: TenantConfig,
+    weight: u64,
+    seq: Option<u64>,
+) -> Reply {
+    let on_live = |live: &Tenant| {
+        // A resent/duplicated hello is benign when the seq chain proves
+        // this exact request was already applied; anything else is a
+        // genuine name collision.
+        let last = lock(&live.session)
+            .as_ref()
+            .and_then(TenantSession::last_seq);
+        if seq.zip(last).is_some_and(|(s, last)| s <= last) {
+            Reply::Ok {
+                tenant: tenant.to_string(),
+                seq,
             }
-            return true;
-        }
-        if tenants.len() >= shared.config.max_tenants {
-            let cap = shared.config.max_tenants;
-            drop(tenants);
-            sink.send(&Reply::error(
-                "tenant-limit",
-                format!("server is at its tenant cap ({cap}); retry after sessions close"),
+        } else {
+            Reply::error(
+                "duplicate-tenant",
+                format!("tenant `{tenant}` already exists"),
                 Some(tenant),
-                *seq,
-            ));
-            return true;
+                seq,
+            )
         }
-        // Only a genuinely new tenant may touch its trace file — a duplicate
-        // hello must not truncate the live tenant's trace.
-        let trace = open_trace(shared, tenant);
-        let config = TenantConfig {
-            machines: *machines,
-            cal_len: *cal_len,
-            cal_cost: *cal_cost,
-            algorithm,
-        };
-        let mut session = match TenantSession::new(tenant, config, trace) {
-            Ok(s) => s,
-            Err(SessionError { code, message }) => {
-                drop(tenants);
-                sink.send(&Reply::error(code, message, Some(tenant), *seq));
-                return true;
-            }
-        };
-        if let Some(s) = *seq {
+    };
+    let open = || {
+        // Only a genuinely new tenant may touch its trace file — a
+        // duplicate hello must not truncate the live tenant's trace.
+        let mut session = TenantSession::new(tenant, config, open_trace(shared, tenant))?;
+        if let Some(s) = seq {
             session.note_seq(s);
         }
-        // Write-ahead: the hello record must be durable before the tenant
-        // is registered and acked. The registry lock is held across this
-        // file create — hellos are rare and racing hellos for one name
-        // must not truncate each other's journal.
+        // Write-ahead: the hello record is durable before the tenant is
+        // registered and acked.
         if let Some(dir) = shared.config.journal_dir.as_ref() {
-            let started = JournalWriter::create(dir, tenant, shared.config.fsync)
-                .and_then(|w| session.start_journal(w));
-            if let Err(e) = started {
-                drop(tenants);
-                sink.send(&Reply::error(
-                    "journal-io",
-                    format!("cannot open journal: {e}"),
-                    Some(tenant),
-                    *seq,
-                ));
-                return true;
-            }
-            session.set_checkpoint_policy(
-                shared.config.checkpoint_every,
-                shared.config.compact_on_idle,
-            );
+            JournalWriter::create(dir, tenant, shared.config.fsync)
+                .and_then(|w| session.start_journal(w))
+                .map_err(|e| journal_io(format!("cannot open journal: {e}")))?;
         }
-        let t_metrics = shared.attach_metrics(tenant, &mut session);
-        tenants.insert(
-            tenant.clone(),
-            Arc::new(Tenant::new(tenant, Some(conn), session, t_metrics)),
-        );
-        drop(tenants);
-        // A fresh hello is an explicitly new session for this name; any
-        // stale migration tombstone is superseded.
-        lock(&shared.moved).remove(tenant.as_str());
-        // The tenant's fair-share weight lives only in the admission layer:
-        // it shapes token refill and the shed order, never scheduling state,
-        // so checkpoints and migrations stay byte-identical.
-        shared.admission.register(tenant, *weight);
-        sink.send(&Reply::Ok {
-            tenant: tenant.clone(),
-            seq: *seq,
-        });
-        return true;
-    }
-
-    // `adopt` is handled inline like `hello`: it only touches the registry
-    // and must not race other registrations for the same name.
-    let request = match request {
-        Request::Adopt { state, seq, .. } => {
-            route_adopt(shared, *state, seq, sink);
-            return true;
-        }
-        other => other,
+        Ok(session)
     };
-
-    let tenant = {
-        let tenants = shared.lock_tenants();
-        tenants.get(request.tenant()).cloned()
-    };
-    match tenant {
-        Some(t) => shared.enqueue(&t, request, sink),
-        None => {
-            let reply = if shared.tenant_moved(request.tenant()) {
-                Reply::error(
-                    CODE_TENANT_MOVED,
-                    format!(
-                        "tenant `{}` was migrated to another shard",
-                        request.tenant()
-                    ),
-                    Some(request.tenant()),
-                    request.seq(),
-                )
-            } else {
-                Reply::error(
-                    "unknown-tenant",
-                    format!("no tenant named `{}`", request.tenant()),
-                    Some(request.tenant()),
-                    request.seq(),
-                )
-            };
-            sink.send(&reply);
-            true
-        }
+    match shared.install(tenant, Some(conn), weight, seq, on_live, open) {
+        Ok(_) => Reply::Ok {
+            tenant: tenant.to_string(),
+            seq,
+        },
+        Err(reply) => *reply,
     }
 }
 
 /// Handles `adopt`: installs a migrated tenant from the checkpoint another
-/// shard's `evict` handed back. Registration mirrors `hello` — write-ahead
-/// under the map lock — with two differences: the session is restored from
-/// the checkpoint instead of created fresh, and the tenant starts
-/// *detached* (`conn = None`) so the tenant's own client, not the router's
-/// control connection, attaches to it with `resume`.
-fn route_adopt(shared: &Shared, state: CheckpointState, seq: Option<u64>, sink: &Arc<LineSink>) {
+/// shard's `evict` handed back. The session is restored from the
+/// checkpoint instead of created fresh, and the tenant starts *detached*
+/// (`conn = None`) so the tenant's own client, not the router's control
+/// connection, attaches to it with `resume`. Its admission weight is 1:
+/// the checkpoint does not carry the `hello` weight.
+fn route_adopt(shared: &Shared, state: CheckpointState, seq: Option<u64>) -> Reply {
     let name = state.tenant.clone();
     let tenant = name.as_str();
-    // Write-ahead registration, same contract as `hello`: the map entry
-    // must not become visible before the re-seeded journal exists.
-    // lint:allow(lock-discipline): registration is write-ahead
-    let mut tenants = shared.lock_tenants();
-    if let Some(existing) = tenants.get(tenant) {
+    let cut = state.last_seq;
+    let on_live = |live: &Tenant| {
         // A re-delivered adopt (router retry, or an A→B→A double hop
         // landing where the tenant already lives) is benign when the live
         // session is at or past the checkpoint's cut.
-        let (already_applied, last_seq) = match lock(&existing.session).as_ref() {
-            Some(session) => (session.last_seq() >= state.last_seq, session.last_seq()),
-            None => (false, None),
-        };
-        drop(tenants);
-        if already_applied {
-            sink.send(&Reply::Adopted {
-                tenant: name,
+        match lock(&live.session).as_ref().map(TenantSession::last_seq) {
+            Some(last_seq) if last_seq >= cut => Reply::Adopted {
+                tenant: tenant.to_string(),
                 last_seq,
                 seq,
-            });
-        } else {
-            sink.send(&Reply::error(
+            },
+            _ => Reply::error(
                 "duplicate-tenant",
                 format!("tenant `{tenant}` already exists and is behind the checkpoint"),
                 Some(tenant),
                 seq,
-            ));
-        }
-        return;
-    }
-    if tenants.len() >= shared.config.max_tenants {
-        let cap = shared.config.max_tenants;
-        drop(tenants);
-        sink.send(&Reply::error(
-            "tenant-limit",
-            format!("server is at its tenant cap ({cap}); retry after sessions close"),
-            Some(tenant),
-            seq,
-        ));
-        return;
-    }
-    let mut session = match TenantSession::restore_from_checkpoint(&state) {
-        Ok(s) => s,
-        Err(SessionError { code, message }) => {
-            drop(tenants);
-            sink.send(&Reply::error(code, message, Some(tenant), seq));
-            return;
+            ),
         }
     };
-    let last_seq = session.last_seq();
-    // Re-seed the journal as `[checkpoint]` — exactly the shape compaction
-    // writes — so a crash on this shard recovers from the handoff cut. The
-    // create truncates any stale journal the name left behind under a
-    // shared `--journal-dir` (the source shard closed its handle at evict;
-    // the checkpoint being installed supersedes that file's tail).
-    if let Some(dir) = shared.config.journal_dir.as_ref() {
-        let record = JournalRecord::Checkpoint(Box::new(state));
-        let created = JournalWriter::create(dir, tenant, shared.config.fsync).and_then(|mut w| {
-            w.append(&record)?;
-            Ok(w)
-        });
-        match created {
-            Ok(w) => session.resume_journal(w),
-            Err(e) => {
-                drop(tenants);
-                sink.send(&Reply::error(
-                    "journal-io",
-                    format!("cannot re-seed journal: {e}"),
-                    Some(tenant),
-                    seq,
-                ));
-                return;
+    let open = || {
+        let mut session = TenantSession::restore_from_checkpoint(&state)?;
+        // Re-seed the journal as `[checkpoint]` — exactly the shape
+        // compaction writes — so a crash on this shard recovers from the
+        // handoff cut. The create truncates any stale journal the name left
+        // behind under a shared `--journal-dir` (the source shard closed
+        // its handle at evict; the checkpoint being installed supersedes
+        // that file's tail).
+        if let Some(dir) = shared.config.journal_dir.as_ref() {
+            let record = JournalRecord::Checkpoint(Box::new(state));
+            let writer = JournalWriter::create(dir, tenant, shared.config.fsync)
+                .and_then(|mut w| w.append(&record).map(|()| w))
+                .map_err(|e| journal_io(format!("cannot re-seed journal: {e}")))?;
+            session.resume_journal(writer);
+        }
+        Ok(session)
+    };
+    match shared.install(tenant, None, 1, seq, on_live, open) {
+        Ok(_) => {
+            shared.metrics.adoptions.fetch_add(1, Ordering::Relaxed);
+            Reply::Adopted {
+                tenant: name,
+                last_seq: cut,
+                seq,
             }
         }
-        session.set_checkpoint_policy(
-            shared.config.checkpoint_every,
-            shared.config.compact_on_idle,
-        );
+        Err(reply) => *reply,
     }
-    let t_metrics = shared.attach_metrics(tenant, &mut session);
-    tenants.insert(
-        name.clone(),
-        Arc::new(Tenant::new(tenant, None, session, t_metrics)),
-    );
-    drop(tenants);
-    lock(&shared.moved).remove(tenant);
-    shared.metrics.adoptions.fetch_add(1, Ordering::Relaxed);
-    sink.send(&Reply::Adopted {
-        tenant: name,
-        last_seq,
-        seq,
-    });
 }
 
 /// Handles `resume`: reattach a live (possibly detached) tenant to this
 /// connection, or fall back to journal recovery for a tenant a crash (or
-/// idle-exit) removed from memory. The `resumed` reply itself is produced
-/// by a worker so it serializes after any still-queued requests.
+/// idle-exit) removed from memory; a recovered tenant is installed at
+/// admission weight 1. The `resumed` reply itself is produced by a worker
+/// so it serializes after any still-queued requests; `None` means the
+/// request was queued, otherwise the reply is the answer.
 fn route_resume(
     shared: &Shared,
     conn: u64,
-    tenant: &str,
-    seq: Option<u64>,
     request: Request,
     sink: &Arc<LineSink>,
-) {
-    let existing = {
-        let tenants = shared.lock_tenants();
-        tenants.get(tenant).cloned()
+) -> Option<Reply> {
+    let name = request.tenant().to_string();
+    let (tenant, seq) = (name.as_str(), request.seq());
+    let attached = |t: &Arc<Tenant>, request: Request| {
+        shared.metrics.resumes.fetch_add(1, Ordering::Relaxed);
+        t.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
+        shared.enqueue(t, request, sink);
+        None
     };
-    if let Some(t) = existing {
-        let attached = {
-            let mut owner = lock(&t.conn);
-            match *owner {
-                Some(c) if c != conn => false,
-                _ => {
-                    *owner = Some(conn);
-                    true
-                }
-            }
-        };
-        if !attached {
+    if let Some(t) = shared.lookup(tenant) {
+        let mut owner = lock(&t.conn);
+        if owner.is_some_and(|c| c != conn) {
             // Transient: the previous connection's reader has not finished
             // cleanup yet. The client backs off and retries.
-            sink.send(&Reply::error(
+            return Some(Reply::error(
                 "tenant-attached",
                 format!("tenant `{tenant}` is still attached to another connection"),
                 Some(tenant),
                 seq,
             ));
-            return;
         }
-        shared.metrics.resumes.fetch_add(1, Ordering::Relaxed);
-        t.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
-        shared.enqueue(&t, request, sink);
-        return;
+        *owner = Some(conn);
+        drop(owner);
+        return attached(&t, request);
     }
 
     // An evicted tenant must not be resurrected from a shared
@@ -895,109 +855,69 @@ fn route_resume(
     // superseded journal here would fork its history (split brain). The
     // client reconnects and the router routes its resume to the new owner.
     if shared.tenant_moved(tenant) {
-        sink.send(&Reply::error(
-            CODE_TENANT_MOVED,
-            format!("tenant `{tenant}` was migrated to another shard"),
-            Some(tenant),
-            seq,
-        ));
-        return;
+        return Some(moved_reply(tenant, seq));
     }
 
     // Not in memory: recover from the journal, if journaling is on.
-    let Some(dir) = shared.config.journal_dir.clone() else {
-        sink.send(&Reply::error(
+    let Some(dir) = shared.config.journal_dir.as_ref() else {
+        return Some(Reply::error(
             "unknown-tenant",
             format!("no tenant named `{tenant}` and journaling is off"),
             Some(tenant),
             seq,
         ));
-        return;
     };
-    match journal::recover_with_report(&dir, tenant, shared.config.fsync) {
-        Ok(Some((session, report))) => {
-            let mut tenants = shared.lock_tenants();
-            if tenants.contains_key(tenant) {
-                // Lost a race with a concurrent resume; retryable.
-                drop(tenants);
-                sink.send(&Reply::error(
-                    "tenant-attached",
-                    format!("tenant `{tenant}` was concurrently resumed"),
-                    Some(tenant),
-                    seq,
-                ));
-                return;
-            }
-            if tenants.len() >= shared.config.max_tenants {
-                let cap = shared.config.max_tenants;
-                drop(tenants);
-                sink.send(&Reply::error(
-                    "tenant-limit",
-                    format!("server is at its tenant cap ({cap}); retry after sessions close"),
-                    Some(tenant),
-                    seq,
-                ));
-                return;
-            }
-            let mut session = session;
-            session.set_checkpoint_policy(
-                shared.config.checkpoint_every,
-                shared.config.compact_on_idle,
-            );
-            let t_metrics = shared.attach_metrics(tenant, &mut session);
-            let t = Arc::new(Tenant::new(tenant, Some(conn), session, t_metrics));
-            tenants.insert(tenant.to_string(), Arc::clone(&t));
-            drop(tenants);
-            if let Some(log) = shared.config.recovery_log.as_ref() {
-                log.send_json(&Json::obj([
-                    ("type", Json::Str("recovered".to_string())),
-                    ("tenant", Json::Str(tenant.to_string())),
-                    (
-                        "records",
-                        Json::UInt(report.records.try_into().unwrap_or(0)),
-                    ),
-                    (
-                        "tail_replayed",
-                        Json::UInt(report.tail_replayed.try_into().unwrap_or(0)),
-                    ),
-                    ("from_checkpoint", Json::Bool(report.from_checkpoint)),
-                ]));
-            }
-            shared.metrics.recovered.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.resumes.fetch_add(1, Ordering::Relaxed);
-            t.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
-            shared.enqueue(&t, request, sink);
+    let (session, report) = match journal::recover_with_report(dir, tenant, shared.config.fsync) {
+        Ok(Some(recovered)) => recovered,
+        Ok(None) => {
+            return Some(Reply::error(
+                "unknown-tenant",
+                format!("no tenant named `{tenant}` in memory or on disk"),
+                Some(tenant),
+                seq,
+            ))
         }
-        Ok(None) => sink.send(&Reply::error(
-            "unknown-tenant",
-            format!("no tenant named `{tenant}` in memory or on disk"),
-            Some(tenant),
-            seq,
-        )),
-        Err(e) => sink.send(&Reply::error(
-            "journal-io",
-            format!("journal recovery failed: {e}"),
-            Some(tenant),
-            seq,
-        )),
+        Err(e) => {
+            return Some(Reply::error(
+                "journal-io",
+                format!("journal recovery failed: {e}"),
+                Some(tenant),
+                seq,
+            ))
+        }
+    };
+    let raced = |_: &Tenant| {
+        // Lost a race with a concurrent resume; retryable.
+        let message = format!("tenant `{tenant}` was concurrently resumed");
+        Reply::error("tenant-attached", message, Some(tenant), seq)
+    };
+    let t = match shared.install(tenant, Some(conn), 1, seq, raced, || Ok(session)) {
+        Ok(t) => t,
+        Err(reply) => return Some(*reply),
+    };
+    if let Some(log) = shared.config.recovery_log.as_ref() {
+        log.send_json(&Json::obj([
+            ("type", Json::Str("recovered".to_string())),
+            ("tenant", Json::Str(tenant.to_string())),
+            (
+                "records",
+                Json::UInt(report.records.try_into().unwrap_or(0)),
+            ),
+            (
+                "tail_replayed",
+                Json::UInt(report.tail_replayed.try_into().unwrap_or(0)),
+            ),
+            ("from_checkpoint", Json::Bool(report.from_checkpoint)),
+        ]));
     }
+    shared.metrics.recovered.fetch_add(1, Ordering::Relaxed);
+    attached(&t, request)
 }
 
 fn open_trace(shared: &Shared, tenant: &str) -> Option<BufWriter<std::fs::File>> {
     let dir = shared.config.trace_dir.as_ref()?;
-    // Tenant names go into a path; keep only a conservative charset.
-    let safe: String = tenant
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
     std::fs::create_dir_all(dir).ok()?;
-    let file = std::fs::File::create(dir.join(format!("{safe}.jsonl"))).ok()?;
+    let file = std::fs::File::create(journal::trace_path(dir, tenant)).ok()?;
     Some(BufWriter::new(file))
 }
 
@@ -1008,7 +928,7 @@ fn open_trace(shared: &Shared, tenant: &str) -> Option<BufWriter<std::fs::File>>
 /// waits (in memory, journal on disk) for a `resume`.
 fn cleanup_connection(shared: &Shared, conn: u64) {
     let owned: Vec<Arc<Tenant>> = {
-        let tenants = shared.lock_tenants();
+        let tenants = lock(&shared.tenants);
         tenants
             .values()
             .filter(|t| *lock(&t.conn) == Some(conn))
@@ -1173,21 +1093,8 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
         // migrated-away tenant answers with its redirect code so the
         // client reconnects and resumes against the new owner.
         drop(session_slot);
-        if shared.tenant_moved(&tenant.name) {
-            sink.write(&Reply::error(
-                CODE_TENANT_MOVED,
-                format!("tenant `{}` was migrated to another shard", tenant.name),
-                Some(&tenant.name),
-                seq,
-            ));
-        } else {
-            sink.write(&Reply::error(
-                "unknown-tenant",
-                format!("tenant `{}` is closed", tenant.name),
-                Some(&tenant.name),
-                seq,
-            ));
-        }
+        let why = format!("tenant `{}` is closed", tenant.name);
+        sink.write(&shared.absent(&tenant.name, seq, why));
         return;
     };
     let name = tenant.name.clone();
@@ -1316,8 +1223,9 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
             Err(e) => Reply::error(e.code, e.message, Some(&tenant.name), seq),
         },
         Request::Evict { .. } => {
-            let session = session_slot.take();
-            let Some(mut s) = session else { return };
+            let Some(mut s) = session_slot.take() else {
+                return;
+            };
             // The inbox is FIFO and the worker owns the tenant, so every
             // request queued before the evict has been applied: this
             // checkpoint is the exact cut the destination must adopt.
@@ -1332,9 +1240,7 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
             // in which the name is neither live nor tombstoned, or a
             // racing `resume` could resurrect it from the shared journal.
             lock(&shared.moved).insert(tenant.name.clone());
-            shared.lock_tenants().remove(&tenant.name);
-            shared.admission.deregister(&tenant.name);
-            tenant.metrics.open.store(false, Ordering::Relaxed);
+            shared.unregister(tenant);
             shared.metrics.evictions.fetch_add(1, Ordering::Relaxed);
             sink.write(&Reply::Evicted {
                 state: Box::new(state),
@@ -1345,23 +1251,16 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
         Request::Bye { .. } => {
             let session = session_slot.take();
             drop(session_slot);
-            shared.lock_tenants().remove(&tenant.name);
-            shared.admission.deregister(&tenant.name);
-            let accounting = match session {
-                Some(s) => {
-                    let (accounting, trace_io) = s.finalize();
-                    if trace_io.is_err() {
-                        shared
-                            .metrics
-                            .trace_io_errors
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    accounting
-                }
-                None => return,
-            };
+            shared.unregister(tenant);
+            let Some(session) = session else { return };
+            let (accounting, trace_io) = session.finalize();
+            if trace_io.is_err() {
+                shared
+                    .metrics
+                    .trace_io_errors
+                    .fetch_add(1, Ordering::Relaxed);
+            }
             tenant.metrics.set_totals(accounting.flow, accounting.cost);
-            tenant.metrics.open.store(false, Ordering::Relaxed);
             lock(&shared.accountings).push(accounting.clone());
             sink.write(&Reply::Goodbye { accounting, seq });
             return;

@@ -628,17 +628,6 @@ impl TenantSession {
         }
         (accounting, io_result)
     }
-
-    /// Serializes the tenant's configuration for logs and reports.
-    pub fn config_json(&self) -> calib_core::json::Json {
-        calib_core::json::Json::obj([
-            ("tenant", self.name.as_str().to_json()),
-            ("machines", self.config.machines.to_json()),
-            ("cal_len", self.config.cal_len.to_json()),
-            ("cal_cost", self.config.cal_cost.to_json()),
-            ("algorithm", self.config.algorithm.name().to_json()),
-        ])
-    }
 }
 
 #[cfg(test)]
