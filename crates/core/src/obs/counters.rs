@@ -2,6 +2,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use super::event::Event;
 use crate::json::Json;
 
 macro_rules! counters {
@@ -111,6 +112,21 @@ impl Counters {
     /// An empty registry.
     pub fn new() -> Self {
         Counters::default()
+    }
+
+    /// Counts one engine event: `events`, plus the counter of its kind.
+    pub fn record(&self, event: &Event) {
+        self.events(1);
+        match event {
+            Event::Calibrate { .. } => self.calibrations(1),
+            Event::Dispatch { .. } => self.dispatches(1),
+            Event::Reserve { .. } => self.reservations(1),
+            Event::TimeSkip { .. } => self.time_skips(1),
+            Event::Wake { .. } => self.wakes(1),
+            Event::JobArrived { .. } => self.arrivals(1),
+            Event::JournalSync { .. } => self.journal_syncs(1),
+            Event::RunComplete { .. } => {}
+        }
     }
 }
 

@@ -65,17 +65,7 @@ impl<'a> CountingProbe<'a> {
 
 impl Probe for CountingProbe<'_> {
     fn record(&mut self, event: &Event) {
-        self.counters.events(1);
-        match event {
-            Event::Calibrate { .. } => self.counters.calibrations(1),
-            Event::Dispatch { .. } => self.counters.dispatches(1),
-            Event::Reserve { .. } => self.counters.reservations(1),
-            Event::TimeSkip { .. } => self.counters.time_skips(1),
-            Event::Wake { .. } => self.counters.wakes(1),
-            Event::JobArrived { .. } => self.counters.arrivals(1),
-            Event::JournalSync { .. } => self.counters.journal_syncs(1),
-            Event::RunComplete { .. } => {}
-        }
+        self.counters.record(event);
     }
 }
 

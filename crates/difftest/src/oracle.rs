@@ -11,8 +11,10 @@
 //!   with the assumption-free exhaustive search on tiny instances.
 //! * **Competitive ratios** — Algorithm 1 stays within 3× OPT
 //!   (Theorem 3.3), Algorithms 2 and 3 within 12× (Theorems 3.8 and 3.10),
-//!   with OPT computed exactly (DP budget sweep on one machine, calibration
+//!   with OPT computed exactly (the penalized DP on one machine, calibration
 //!   multiset brute force on several).
+//! * **Penalized OPT vs budget sweep** — `opt_online_cost` equals
+//!   `min_K G·K + F(K, n)` over the DP's budget curve, field for field.
 //! * **Assigner invariants** — Observation 2.1's greedy assignment is
 //!   optimal for a fixed calibration set (checked against branch-and-bound
 //!   on small instances), never worse than the engine's own materialization
@@ -59,6 +61,9 @@ pub enum Check {
     DpScheduleConsistent,
     /// `F(k, n)` increased when the budget grew.
     DpBudgetMonotone,
+    /// `opt_online_cost` differs from `min_K G·K + F(K, n)`, its smallest
+    /// minimizing `K`, or that `K`'s flow.
+    OptMatchesSweep,
     /// Algorithm 1 exceeded 3× OPT (Theorem 3.3).
     RatioAlg1,
     /// Algorithm 2 exceeded 12× OPT (Theorem 3.8).
@@ -91,6 +96,7 @@ impl Check {
             Check::DpMatchesExhaustive => "dp-matches-exhaustive",
             Check::DpScheduleConsistent => "dp-schedule-consistent",
             Check::DpBudgetMonotone => "dp-budget-monotone",
+            Check::OptMatchesSweep => "opt-matches-budget-sweep",
             Check::RatioAlg1 => "ratio-alg1",
             Check::RatioAlg2 => "ratio-alg2",
             Check::RatioAlg3 => "ratio-alg3",
@@ -116,6 +122,7 @@ pub const ALL_CHECKS: &[Check] = &[
     Check::DpMatchesExhaustive,
     Check::DpScheduleConsistent,
     Check::DpBudgetMonotone,
+    Check::OptMatchesSweep,
     Check::RatioAlg1,
     Check::RatioAlg2,
     Check::RatioAlg3,
@@ -296,7 +303,7 @@ impl Oracle {
     }
 
     /// DP vs brute force vs exhaustive, plus DP-internal consistency.
-    fn offline_checks(&self, inst: &Instance, _g: Cost, failures: &mut Vec<OracleFailure>) {
+    fn offline_checks(&self, inst: &Instance, g: Cost, failures: &mut Vec<OracleFailure>) {
         if inst.machines() != 1 {
             return;
         }
@@ -329,6 +336,27 @@ impl Oracle {
                 }
             }
             prev = flow.map(|f| (k, f)).or(prev);
+        }
+
+        // The penalized recurrence must reproduce the budget sweep in all
+        // three fields, ties going to the smallest budget.
+        let sweep = flows
+            .iter()
+            .enumerate()
+            .filter_map(|(k, flow)| {
+                let flow = (*flow)?;
+                Some((g * Cost::try_from(k).ok()? + flow, k, flow))
+            })
+            .min();
+        let opt = opt_online_cost(&norm, g).map(|o| (o.cost, o.calibrations, o.flow));
+        if opt.as_ref().ok() != sweep.as_ref() {
+            failures.push(OracleFailure {
+                check: Check::OptMatchesSweep,
+                detail: format!(
+                    "G={g}: opt_online_cost (cost, calibrations, flow) = {opt:?}, \
+                     budget sweep = {sweep:?}"
+                ),
+            });
         }
 
         let brute_ok = n <= 9;

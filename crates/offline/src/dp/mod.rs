@@ -14,7 +14,7 @@
 pub mod group;
 pub mod rebuild;
 
-use calib_core::{Cost, Instance, Schedule};
+use calib_core::{Cost, Instance, Job, Schedule};
 
 use crate::ranks::RankedJobs;
 use group::GroupDp;
@@ -66,8 +66,8 @@ pub struct DpSolution {
 /// The `F(k, n)` values for `k = 0 ..= max_k`, as *weighted flows*
 /// (`None` = infeasible, i.e. `kT < n`).
 ///
-/// One call computes the whole column, which is what the online-objective
-/// baseline needs (it sweeps the budget).
+/// One call computes the whole column (E6's budget curve, and the
+/// reference the online-objective optimum is tested against).
 pub fn min_flow_by_budget(
     instance: &Instance,
     max_k: usize,
@@ -142,20 +142,38 @@ pub fn solve_offline_counted(
     }))
 }
 
+/// The input every single-machine solver needs: one machine and strictly
+/// increasing releases, checked in that order.
+pub(crate) fn check_single_machine(instance: &Instance) -> Result<(), OfflineError> {
+    if instance.machines() != 1 {
+        return Err(OfflineError::MultipleMachines(instance.machines()));
+    }
+    if instance
+        .jobs()
+        .windows(2)
+        .any(|w| w[0].release >= w[1].release)
+    {
+        return Err(OfflineError::NotNormalized);
+    }
+    Ok(())
+}
+
 /// `⌈len/T⌉` — calibrations a group of `len` jobs consumes.
-fn group_calibration_count(len: usize, t: calib_core::Time) -> usize {
+pub(crate) fn group_calibration_count(len: usize, t: calib_core::Time) -> usize {
     len.div_ceil(t as usize)
 }
 
-fn release_weight_sum(instance: &Instance) -> i128 {
-    instance
-        .jobs()
-        .iter()
-        .map(|j| j.weight as i128 * j.release as i128)
-        .sum()
+/// `w_j · r_j`: what separates a job's weighted completion from its
+/// weighted flow.
+pub(crate) fn release_weight(job: &Job) -> i128 {
+    i128::from(job.weight) * i128::from(job.release)
 }
 
-fn to_flow(completion: i128, release_sum: i128) -> Cost {
+fn release_weight_sum(instance: &Instance) -> i128 {
+    instance.jobs().iter().map(release_weight).sum()
+}
+
+pub(crate) fn to_flow(completion: i128, release_sum: i128) -> Cost {
     let flow = completion - release_sum;
     debug_assert!(flow >= 0, "weighted flow must be nonnegative");
     flow.max(0) as Cost
@@ -171,15 +189,8 @@ fn run_dp(
     instance: &Instance,
     max_k: usize,
 ) -> Result<(FTable, GroupDp, ChoiceTable), OfflineError> {
-    if instance.machines() != 1 {
-        return Err(OfflineError::MultipleMachines(instance.machines()));
-    }
+    check_single_machine(instance)?;
     let jobs = instance.jobs();
-    for w in jobs.windows(2) {
-        if w[0].release >= w[1].release {
-            return Err(OfflineError::NotNormalized);
-        }
-    }
     let n = jobs.len();
     let t = instance.cal_len();
 

@@ -12,7 +12,8 @@
 //! * [`opt_r_brute`] — the release-order-restricted optimum `OPT_r`
 //!   (Lemma 3.4's 2-approximation target);
 //! * [`opt_online_cost`] — the exact offline optimum of the *online*
-//!   objective `G·C + flow`, obtained by sweeping the budget.
+//!   objective `G·C + flow`, from one pass of Proposition 1 that prices
+//!   each calibration at `G` instead of sweeping the budget.
 //!
 //! ```
 //! use calib_core::InstanceBuilder;
@@ -39,9 +40,7 @@ pub use brute::{
     optimal_assignment_exhaustive, optimal_flow_brute, optimal_flow_exhaustive,
 };
 pub use dp::{min_flow_by_budget, solve_offline, solve_offline_counted, DpSolution, OfflineError};
-pub use online_opt::{
-    flow_curve_is_convex, opt_online_cost, opt_online_cost_ternary, opt_online_schedule, OnlineOpt,
-};
+pub use online_opt::{opt_online_cost, OnlineOpt};
 pub use opt_r::{assign_fifo, opt_r_brute, CandidateMode};
 pub use ranks::{RankedJobs, WindowInfo};
 pub use unweighted::{solve_offline_unweighted, UnweightedSolution};

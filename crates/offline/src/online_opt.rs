@@ -1,22 +1,28 @@
 //! Offline optimum for the *online* objective
 //! `G · (#calibrations) + total weighted flow`.
 //!
-//! Section 4 of the paper notes the budgeted offline problem generalizes the
-//! online objective: sweep the budget `K ∈ {0, …, n}` (at most one
-//! calibration per job is ever useful on one machine) and take
-//! `min_K { K·G + F(K, n) }`. This is the exact baseline `OPT` that the
-//! competitive-ratio experiments (E1, E2) divide by.
+//! Pricing each calibration at `G` instead of counting it against a budget
+//! turns Proposition 1 into the penalized recurrence
+//! `P(v) = min_{u ≤ v} { P(u−1) + G·⌈(v−u+1)/T⌉ + f(u, v, 0) }`, `P(0) = 0`,
+//! over the same group DP `f` (Proposition 2). `P(n)` minimizes `G·C + flow`
+//! over all partitions into groups, so it equals `min_K { K·G + F(K, n) }`
+//! with no convexity assumption and no sweep over budgets. This is the
+//! exact baseline `OPT` that the competitive-ratio experiments divide by.
 
 use calib_core::{Cost, Instance};
 
-use crate::dp::{min_flow_by_budget, solve_offline, DpSolution, OfflineError};
+use crate::dp::group::GroupDp;
+use crate::dp::{
+    check_single_machine, group_calibration_count, release_weight, to_flow, OfflineError,
+};
+use crate::ranks::RankedJobs;
 
 /// The optimal offline cost and the budget that achieves it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OnlineOpt {
     /// `min_K { K·G + F(K, n) }`.
     pub cost: Cost,
-    /// A minimizing number of calibrations.
+    /// The smallest minimizing number of calibrations.
     pub calibrations: usize,
     /// The flow part of the optimum.
     pub flow: Cost,
@@ -26,41 +32,40 @@ pub struct OnlineOpt {
 ///
 /// The instance must be normalized (strictly increasing releases).
 pub fn opt_online_cost(instance: &Instance, cal_cost: Cost) -> Result<OnlineOpt, OfflineError> {
-    let n = instance.n();
-    if n == 0 {
-        return Ok(OnlineOpt {
-            cost: 0,
-            calibrations: 0,
-            flow: 0,
-        });
+    // An empty instance costs nothing on any number of machines.
+    if instance.n() > 0 {
+        check_single_machine(instance)?;
     }
-    let flows = min_flow_by_budget(instance, n)?;
-    let mut best: Option<OnlineOpt> = None;
-    for (k, flow) in flows.into_iter().enumerate() {
-        if let Some(flow) = flow {
-            let cost = cal_cost * k as Cost + flow;
-            if best.is_none_or(|b| cost < b.cost) {
-                best = Some(OnlineOpt {
-                    cost,
-                    calibrations: k,
-                    flow,
-                });
+    let (jobs, t) = (instance.jobs(), instance.cal_len());
+    let mut gdp = GroupDp::new(RankedJobs::new(jobs), t);
+    // `best[v]`: the least `(cost, calibrations, flow)` over partitions of
+    // the first `v` jobs, so cost ties go to fewer calibrations. A job alone
+    // in its own interval runs at release (flow `w`): every entry is finite.
+    let mut best: Vec<(Cost, usize, Cost)> = vec![(0, 0, 0)];
+    for (v, job) in jobs.iter().enumerate() {
+        let (cost, cals, flow) = best[v];
+        let w = Cost::from(job.weight);
+        let mut p = (cost + cal_cost + w, cals + 1, flow + w);
+        let mut release_sum = release_weight(job);
+        // Groups `u..=v` of two or more jobs, 0-based.
+        for u in (0..v).rev() {
+            release_sum += release_weight(&jobs[u]);
+            if let Some(completion) = gdp.f(u, v, 0) {
+                let used = group_calibration_count(v - u + 1, t);
+                let group_flow = to_flow(completion, release_sum);
+                let (cost, cals, flow) = best[u];
+                let penalty = cal_cost * Cost::try_from(used).unwrap_or(Cost::MAX);
+                p = p.min((cost + penalty + group_flow, cals + used, flow + group_flow));
             }
         }
+        best.push(p);
     }
-    Ok(best.expect("budget n always schedules every job on one machine"))
-}
-
-/// As [`opt_online_cost`] but also reconstructs an optimal schedule.
-pub fn opt_online_schedule(
-    instance: &Instance,
-    cal_cost: Cost,
-) -> Result<Option<DpSolution>, OfflineError> {
-    let opt = opt_online_cost(instance, cal_cost)?;
-    if instance.n() == 0 {
-        return Ok(None);
-    }
-    solve_offline(instance, opt.calibrations)
+    let (cost, calibrations, flow) = best[jobs.len()];
+    Ok(OnlineOpt {
+        cost,
+        calibrations,
+        flow,
+    })
 }
 
 #[cfg(test)]
@@ -96,6 +101,9 @@ mod tests {
         // One interval ending right after r=10: job 0 waits until 9
         // (flow 10), job 1 runs at 10 (flow 1).
         assert_eq!(pricey.cost, 1000 + 11);
+        // At G = 9 both cost 20; the tie goes to fewer calibrations.
+        let tie = opt_online_cost(&inst, 9).unwrap();
+        assert_eq!((tie.cost, tie.calibrations, tie.flow), (20, 1, 11));
     }
 
     #[test]
@@ -109,129 +117,10 @@ mod tests {
             let mut brute_best = Cost::MAX;
             for k in 0..=inst.n() {
                 if let Some((flow, _)) = crate::brute::optimal_flow_brute(&inst, k) {
-                    brute_best = brute_best.min(g * k as Cost + flow);
+                    brute_best = brute_best.min(g * Cost::try_from(k).unwrap() + flow);
                 }
             }
             assert_eq!(opt.cost, brute_best, "G={g}");
         }
-    }
-}
-
-/// Is the budget→flow curve convex (differences non-increasing)? The
-/// paper's footnote 5 says the online-objective optimum can be found by
-/// *binary search* over the budget, which presumes `K·G + F(K)` is
-/// unimodal; convexity of `F` is the sufficient condition, and it holds on
-/// every instance we have ever generated (see the E6/E13 tests). Exposed so
-/// callers can verify before trusting [`opt_online_cost_ternary`].
-pub fn flow_curve_is_convex(flows: &[Option<Cost>]) -> bool {
-    let vals: Vec<Cost> = flows.iter().copied().flatten().collect();
-    vals.windows(3).all(|w| w[0] + w[2] >= 2 * w[1])
-}
-
-/// The paper's footnote-5 approach: ternary search over the budget for
-/// `min_K { K·G + F(K) }`, assuming the flow curve is convex (verified via
-/// [`flow_curve_is_convex`]; falls back to the exhaustive sweep when the
-/// check fails, so the result is always exact).
-pub fn opt_online_cost_ternary(
-    instance: &Instance,
-    cal_cost: Cost,
-) -> Result<OnlineOpt, OfflineError> {
-    let n = instance.n();
-    if n == 0 {
-        return Ok(OnlineOpt {
-            cost: 0,
-            calibrations: 0,
-            flow: 0,
-        });
-    }
-    let flows = min_flow_by_budget(instance, n)?;
-    if !flow_curve_is_convex(&flows) {
-        // Convexity failed (never observed): exhaustive sweep.
-        return opt_online_cost(instance, cal_cost);
-    }
-    let first_feasible = flows
-        .iter()
-        .position(|f| f.is_some())
-        .expect("budget n is always feasible");
-    let cost_at = |k: usize| -> Cost { cal_cost * k as Cost + flows[k].expect("feasible k") };
-
-    let (mut lo, mut hi) = (first_feasible, n);
-    while hi - lo > 2 {
-        let m1 = lo + (hi - lo) / 3;
-        let m2 = hi - (hi - lo) / 3;
-        if cost_at(m1) <= cost_at(m2) {
-            hi = m2;
-        } else {
-            lo = m1;
-        }
-    }
-    let best_k = (lo..=hi)
-        .min_by_key(|&k| (cost_at(k), k))
-        .expect("non-empty range");
-    Ok(OnlineOpt {
-        cost: cost_at(best_k),
-        calibrations: best_k,
-        flow: flows[best_k].unwrap(),
-    })
-}
-
-#[cfg(test)]
-mod ternary_tests {
-    use super::*;
-    use calib_core::{Instance, InstanceBuilder, Job};
-
-    #[test]
-    fn ternary_matches_sweep_on_many_instances() {
-        // Deterministic pseudo-random instances via a small LCG.
-        let mut state = 7u64;
-        let mut next = |m: u64| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) % m
-        };
-        for _ in 0..60 {
-            let n = 2 + next(9) as usize;
-            let t = 1 + next(4) as i64;
-            let mut releases: Vec<i64> = Vec::new();
-            while releases.len() < n {
-                let r = next(3 * n as u64 + 1) as i64;
-                if !releases.contains(&r) {
-                    releases.push(r);
-                }
-            }
-            releases.sort_unstable();
-            let jobs: Vec<Job> = releases
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| Job::new(i as u32, r, 1 + next(9)))
-                .collect();
-            let inst = Instance::single_machine(jobs, t).unwrap();
-            for g in [0u128, 1, 4, 17, 60] {
-                let sweep = opt_online_cost(&inst, g).unwrap();
-                let tern = opt_online_cost_ternary(&inst, g).unwrap();
-                assert_eq!(sweep.cost, tern.cost, "{inst:?} G={g}");
-            }
-        }
-    }
-
-    #[test]
-    fn convexity_checker() {
-        assert!(flow_curve_is_convex(&[
-            None,
-            Some(10),
-            Some(6),
-            Some(4),
-            Some(3)
-        ]));
-        assert!(!flow_curve_is_convex(&[Some(10), Some(9), Some(4)]));
-        assert!(flow_curve_is_convex(&[]));
-        assert!(flow_curve_is_convex(&[None, Some(5)]));
-    }
-
-    #[test]
-    fn ternary_empty_instance() {
-        let inst = InstanceBuilder::new(3).build().unwrap();
-        assert_eq!(opt_online_cost_ternary(&inst, 9).unwrap().cost, 0);
     }
 }

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use calib_core::{Assignment, Calibration, Cost, Instance, MachineId, Schedule, Time};
 
 use crate::brute::candidate_starts;
-use crate::dp::OfflineError;
+use crate::dp::{check_single_machine, OfflineError};
 
 /// Result of the unweighted DP.
 #[derive(Debug, Clone)]
@@ -46,18 +46,11 @@ pub fn solve_offline_unweighted(
     instance: &Instance,
     budget: usize,
 ) -> Result<Option<UnweightedSolution>, OfflineError> {
-    if instance.machines() != 1 {
-        return Err(OfflineError::MultipleMachines(instance.machines()));
-    }
+    check_single_machine(instance)?;
     if !instance.is_unweighted() {
         return Err(OfflineError::NotUnweighted);
     }
     let jobs = instance.jobs();
-    for w in jobs.windows(2) {
-        if w[0].release >= w[1].release {
-            return Err(OfflineError::NotNormalized);
-        }
-    }
     let n = jobs.len();
     if n == 0 {
         return Ok(Some(UnweightedSolution {

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 
 use calib_core::{check_schedule, Instance, Job, Time};
 use calib_offline::{
-    assign_fifo, candidate_starts, min_flow_by_budget, opt_online_cost, opt_online_cost_ternary,
-    optimal_flow_brute, solve_offline, RankedJobs,
+    assign_fifo, candidate_starts, min_flow_by_budget, opt_online_cost, optimal_flow_brute,
+    solve_offline, OnlineOpt, RankedJobs,
 };
 
 /// Distinct-release job sets (what the single-machine solvers need).
@@ -57,9 +57,11 @@ proptest! {
         }
     }
 
-    /// Budget monotonicity and the ternary-search shortcut.
+    /// Budget monotonicity, and the penalized recurrence equals the budget
+    /// sweep `min_K G·K + F(K, n)` in every field, ties going to the
+    /// smallest `K`.
     #[test]
-    fn budget_curve_monotone_and_ternary_exact(
+    fn budget_curve_monotone_and_opt_matches_sweep(
         jobs in arb_distinct_jobs(8, 18, 9),
         t in 1i64..5,
         g in 0u128..80,
@@ -69,9 +71,15 @@ proptest! {
         let feasible: Vec<u128> = flows.iter().copied().flatten().collect();
         prop_assert!(!feasible.is_empty());
         prop_assert!(feasible.windows(2).all(|w| w[1] <= w[0]), "not monotone: {feasible:?}");
-        let sweep = opt_online_cost(&inst, g).unwrap();
-        let tern = opt_online_cost_ternary(&inst, g).unwrap();
-        prop_assert_eq!(sweep.cost, tern.cost);
+        let sweep = flows
+            .iter()
+            .enumerate()
+            .filter_map(|(k, flow)| {
+                flow.map(|flow| (g * u128::try_from(k).unwrap() + flow, k, flow))
+            })
+            .min()
+            .map(|(cost, calibrations, flow)| OnlineOpt { cost, calibrations, flow });
+        prop_assert_eq!(Some(opt_online_cost(&inst, g).unwrap()), sweep);
     }
 
     /// Ranks are a permutation ordered by (weight asc, release desc).

@@ -475,8 +475,9 @@ fn moved_reply(tenant: &str, seq: Option<u64>) -> Reply {
     )
 }
 
-/// The requests admission control gates: the work-bearing mutations. An
-/// admitted one holds an in-flight slot until its worker finishes it.
+/// The work-bearing mutations: admission control gates them (an admitted
+/// one holds an in-flight slot until its worker finishes it), and each is
+/// a checkpoint opportunity once applied.
 fn admission_gated(req: &Request) -> bool {
     matches!(
         req,
@@ -1125,10 +1126,7 @@ fn process_inner(shared: &Shared, tenant: &Arc<Tenant>, request: Request, sink: 
         }
     }
     let is_resume = matches!(request, Request::Resume { .. });
-    let mutating = matches!(
-        request,
-        Request::Arrive { .. } | Request::Tick { .. } | Request::Drain { .. }
-    );
+    let mutating = admission_gated(&request);
     let reply = match request {
         Request::Hello { .. } => Reply::error(
             "duplicate-tenant",

@@ -77,17 +77,7 @@ pub struct SharedCountingProbe(pub Arc<Counters>);
 
 impl Probe for SharedCountingProbe {
     fn record(&mut self, event: &Event) {
-        self.0.events(1);
-        match event {
-            Event::Calibrate { .. } => self.0.calibrations(1),
-            Event::Dispatch { .. } => self.0.dispatches(1),
-            Event::Reserve { .. } => self.0.reservations(1),
-            Event::TimeSkip { .. } => self.0.time_skips(1),
-            Event::Wake { .. } => self.0.wakes(1),
-            Event::JobArrived { .. } => self.0.arrivals(1),
-            Event::JournalSync { .. } => self.0.journal_syncs(1),
-            Event::RunComplete { .. } => {}
-        }
+        self.0.record(event);
     }
 }
 

@@ -87,6 +87,10 @@ fn metrics_request_matches_exact_accounting() {
 
     let mut expected_decisions = Vec::new();
     let mut expected_totals = Vec::new();
+    // Every pass's connection stays open until both tenants are done: the
+    // daemon exits once idle, and with `t0`'s socket closed and `t1` not
+    // yet connected it could stop before `t1` connects.
+    let mut connections = Vec::new();
     // `t0` says bye (closed but retained); `t1` stays open.
     for (i, name) in ["t0", "t1"].iter().enumerate() {
         let case = gen_case_sized(7 + i as u64, &params, 30);
@@ -232,7 +236,9 @@ fn metrics_request_matches_exact_accounting() {
                 Some("goodbye")
             );
         }
+        connections.push((stream, reader));
     }
+    drop(connections);
 
     let report = server.join().unwrap();
     assert!(report.all_ok());

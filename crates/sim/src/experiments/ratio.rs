@@ -1,5 +1,5 @@
 //! E1 / E2 — empirical competitive ratios of Algorithms 1 and 2 against the
-//! exact offline optimum (DP budget sweep), across workload families and
+//! exact offline optimum (`opt_online_cost`), across workload families and
 //! `(G, T)` settings.
 //!
 //! Paper claims: Algorithm 1 ≤ 3 (Theorem 3.3); Algorithm 2 ≤ 12

@@ -15,7 +15,6 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use calibration_scheduling::core::{render_gantt, schedule_stats};
-use calibration_scheduling::offline::opt_online_cost_ternary;
 use calibration_scheduling::online::{CalibrateImmediately, SkiRentalBatch, WeightedMulti};
 use calibration_scheduling::prelude::*;
 use calibration_scheduling::workloads::{arrivals, WeightModel};
@@ -245,7 +244,7 @@ fn cmd_opt(opts: &Opts) -> Result<(), String> {
     let trace = load_trace(opts)?;
     let g: u128 = get_num(opts, "g")?;
     let inst = trace.instance.normalized();
-    let opt = opt_online_cost_ternary(&inst, g).map_err(|e| e.to_string())?;
+    let opt = opt_online_cost(&inst, g).map_err(|e| e.to_string())?;
     println!(
         "OPT(G={g}): cost={} calibrations={} flow={}",
         opt.cost, opt.calibrations, opt.flow
