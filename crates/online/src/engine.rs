@@ -31,7 +31,7 @@
 //! packed append-only log (`history.rs`) from which snapshots, schedules
 //! and the final outcome are replayed.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use calib_core::obs::{Event, NoopProbe, Probe};
 use calib_core::{
@@ -39,6 +39,7 @@ use calib_core::{
 };
 
 use crate::history::{Entry, History, Start};
+use crate::idset::IdRuns;
 use crate::scheduler::{Decision, OnlineScheduler, Reservation};
 
 /// Per-machine live state.
@@ -686,7 +687,7 @@ pub struct EngineSession<P: Probe = NoopProbe> {
     /// Every job id ever submitted, for duplicate detection. A job that
     /// has not started is in `pending`, `waiting` or its reservation; a
     /// started one is in `history`.
-    ids: HashSet<JobId>,
+    ids: IdRuns,
     waiting: Vec<Job>,
     machines: Vec<MachineState>,
     /// The live suffix of the interval list (see [`EngineView::intervals`]);
@@ -742,7 +743,7 @@ impl<P: Probe> EngineSession<P> {
             cal_len,
             cal_cost,
             pending: VecDeque::new(),
-            ids: HashSet::new(),
+            ids: IdRuns::default(),
             waiting: Vec::new(),
             machines: vec![MachineState::new(); machines],
             intervals: Vec::new(),
@@ -904,7 +905,7 @@ impl<P: Probe> EngineSession<P> {
                 return Err(corrupt("duplicate job id in submission record"));
             }
         }
-        let ids: HashSet<JobId> = unplaced.keys().copied().collect();
+        let ids = IdRuns::from_ids(snapshot.known.iter().map(|j| j.id.0).collect());
         let mut place = |id: JobId, context: &'static str| -> Result<Job, EngineError> {
             unplaced.remove(&id).ok_or(corrupt(context))
         };
@@ -1048,7 +1049,7 @@ impl<P: Probe> EngineSession<P> {
     /// serving.
     pub fn submit(&mut self, jobs: &[Job]) -> Result<(), EngineError> {
         for &job in jobs {
-            if self.ids.contains(&job.id) {
+            if self.ids.contains(job.id) {
                 return Err(EngineError::DuplicateJob { job: job.id });
             }
             if self.started && job.release <= self.clock {

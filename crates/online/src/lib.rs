@@ -36,6 +36,7 @@ pub mod alg3;
 pub mod baselines;
 pub mod engine;
 mod history;
+mod idset;
 pub mod randomized;
 pub mod scheduler;
 pub mod tunable;

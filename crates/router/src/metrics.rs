@@ -21,6 +21,12 @@ pub struct RouterMetrics {
     pub requests: AtomicU64,
     /// Request lines forwarded to a backend shard.
     pub forwarded_requests: AtomicU64,
+    /// Writes to backend shards; each carries every line a client
+    /// connection had pending for that shard.
+    pub shard_writes: AtomicU64,
+    /// Flushes of a client's writer by relay threads; each carries every
+    /// shard reply the relay had buffered.
+    pub relay_flushes: AtomicU64,
     /// Tenants placed onto a shard (first sighting of the name).
     pub placements: AtomicU64,
     /// Migrations completed, handoff or fallback.
@@ -58,6 +64,14 @@ impl RouterMetrics {
             (
                 "forwarded_requests",
                 self.forwarded_requests.load(Ordering::Relaxed).to_json(),
+            ),
+            (
+                "shard_writes",
+                self.shard_writes.load(Ordering::Relaxed).to_json(),
+            ),
+            (
+                "relay_flushes",
+                self.relay_flushes.load(Ordering::Relaxed).to_json(),
             ),
             (
                 "placements",
@@ -100,6 +114,8 @@ mod tests {
             "active_connections",
             "requests",
             "forwarded_requests",
+            "shard_writes",
+            "relay_flushes",
             "placements",
             "busy_rejects",
             "shard_unreachable",

@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use calib_core::json::{Json, ToJson};
-use calib_serve::conn::{self, LineSink};
+use calib_serve::conn::{self, LineHandler, LineSink};
 use calib_serve::protocol::{Reply, Request, CODE_SHARD_UNREACHABLE};
 use calib_serve::retry::Backoff;
 
@@ -212,74 +212,17 @@ pub fn run_router(listener: TcpListener, config: RouterConfig) -> io::Result<Rou
 }
 
 /// Reads request lines from one client connection until EOF, forwarding
-/// or answering them. Owns this connection's backend map; backend sockets
-/// are shut down on exit so the relay threads unblock and die.
+/// or answering them.
 fn handle_connection(shared: &Shared, stream: TcpStream, output: Box<dyn Write + Send>) {
     let sink = Arc::new(LineSink::new(output));
-    let closing = Arc::new(AtomicBool::new(false));
-    let mut backends: HashMap<usize, Backend> = HashMap::new();
-    conn::read_lines(stream, &sink, |line, parsed| {
-        shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let seq = parsed.get("seq").and_then(Json::as_u64);
-        match parsed.get("type").and_then(Json::as_str).unwrap_or("") {
-            "ping" => {
-                sink.send(&pong(shared, seq));
-                return true;
-            }
-            "metrics" => {
-                sink.send_json(&merged_metrics(shared, seq));
-                return true;
-            }
-            "migrate" => {
-                handle_migrate(shared, &parsed, &sink);
-                return true;
-            }
-            ty @ ("adopt" | "evict") => {
-                sink.send(&Reply::error(
-                    "bad-message",
-                    format!("`{ty}` is shard-internal; drive migrations with `migrate`"),
-                    None,
-                    seq,
-                ));
-                return true;
-            }
-            _ => {}
-        }
-        let request = match Request::from_json(&parsed) {
-            Ok(r) => r,
-            Err((code, message)) => {
-                sink.send(&Reply::error(code, message, None, None));
-                return true;
-            }
-        };
-        let tenant = request.tenant().to_string();
-        if lock(&shared.migrating).contains(&tenant) {
-            shared.metrics.busy_rejects.fetch_add(1, Ordering::Relaxed);
-            sink.send(&Reply::error(
-                "busy",
-                format!("tenant `{tenant}` is migrating; retry shortly"),
-                Some(&tenant),
-                request.seq(),
-            ));
-            return true;
-        }
-        let shard = place(shared, &tenant);
-        forward(
-            shared,
-            &mut backends,
-            shard,
-            line,
-            &sink,
-            &closing,
-            &tenant,
-            request.seq(),
-        );
-        true
-    });
-    closing.store(true, Ordering::Relaxed);
-    for backend in backends.values() {
-        let _ = backend.stream.shutdown(Shutdown::Both);
-    }
+    let client = Client {
+        shared,
+        sink: Arc::clone(&sink),
+        closing: Arc::new(AtomicBool::new(false)),
+        backends: HashMap::new(),
+        pending: vec![Pending::default(); shared.config.shards.len()],
+    };
+    conn::read_lines(stream, &sink, client);
 }
 
 /// The tenant's shard: its placement if it has one, else its ring owner
@@ -307,65 +250,185 @@ fn place(shared: &Shared, tenant: &str) -> usize {
     shard
 }
 
-/// Forwards one raw request line to `shard` over this connection's
-/// backend map, opening (or reopening, once) the backend connection and
-/// its relay thread on demand. Failures surface as a typed
-/// `shard-unreachable` error carrying the tenant and `seq`.
-#[allow(clippy::too_many_arguments)]
-fn forward(
-    shared: &Shared,
-    backends: &mut HashMap<usize, Backend>,
-    shard: usize,
-    line: &str,
-    sink: &Arc<LineSink>,
-    closing: &Arc<AtomicBool>,
-    tenant: &str,
-    seq: Option<u64>,
-) {
-    for _attempt in 0..2u32 {
-        let dead = backends
-            .get(&shard)
-            .is_some_and(|b| !b.alive.load(Ordering::Relaxed));
-        if dead {
-            if let Some(b) = backends.remove(&shard) {
+/// One client connection's forwarding state. Dropping it shuts the
+/// backend sockets down, so the relay threads unblock and die.
+struct Client<'a> {
+    shared: &'a Shared,
+    sink: Arc<LineSink>,
+    /// Set once the client is gone, so relays stop reporting dead shards.
+    closing: Arc<AtomicBool>,
+    /// The lazily-opened backend connection to each shard touched.
+    backends: HashMap<usize, Backend>,
+    /// Per shard, the forwarded lines not yet written.
+    pending: Vec<Pending>,
+}
+
+/// Forwarded lines waiting for one write to their shard.
+#[derive(Clone, Default)]
+struct Pending {
+    /// The lines, each ending in `\n`.
+    bytes: Vec<u8>,
+    /// Each line's tenant and `seq`, for its `shard-unreachable` reply.
+    lines: Vec<(String, Option<u64>)>,
+}
+
+/// A line the router answers or acts on itself.
+enum Local {
+    Ping(Option<u64>),
+    Metrics(Option<u64>),
+    Migrate,
+    /// A rejected line, with its error reply as a line.
+    Reject(String),
+}
+
+/// The shard one parsed client line is forwarded to, with its tenant and
+/// `seq`, placing the tenant on first sight; or what the router does with
+/// the line itself.
+fn route(shared: &Shared, parsed: &Json) -> Result<(usize, String, Option<u64>), Local> {
+    let seq = parsed.get("seq").and_then(Json::as_u64);
+    let reject = |reply: Reply| Local::Reject(reply.to_line());
+    match parsed.get("type").and_then(Json::as_str).unwrap_or("") {
+        "ping" => return Err(Local::Ping(seq)),
+        "metrics" => return Err(Local::Metrics(seq)),
+        "migrate" => return Err(Local::Migrate),
+        ty @ ("adopt" | "evict") => {
+            return Err(reject(Reply::error(
+                "bad-message",
+                format!("`{ty}` is shard-internal; drive migrations with `migrate`"),
+                None,
+                seq,
+            )));
+        }
+        _ => {}
+    }
+    let request = Request::from_json(parsed)
+        .map_err(|(code, message)| reject(Reply::error(code, message, None, None)))?;
+    let tenant = request.tenant().to_string();
+    if lock(&shared.migrating).contains(&tenant) {
+        shared.metrics.busy_rejects.fetch_add(1, Ordering::Relaxed);
+        return Err(reject(Reply::error(
+            "busy",
+            format!("tenant `{tenant}` is migrating; retry shortly"),
+            Some(&tenant),
+            request.seq(),
+        )));
+    }
+    Ok((place(shared, &tenant), tenant, request.seq()))
+}
+
+impl LineHandler for Client<'_> {
+    fn line(&mut self, line: &str, parsed: Json) -> bool {
+        let shared = self.shared;
+        shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
+        let local = match route(shared, &parsed) {
+            Ok((shard, tenant, seq)) => {
+                let pending = &mut self.pending[shard];
+                pending.bytes.extend_from_slice(line.as_bytes());
+                pending.bytes.push(b'\n');
+                pending.lines.push((tenant, seq));
+                return true;
+            }
+            Err(local) => local,
+        };
+        // What the router answers or acts on itself goes after the lines
+        // read before it: a `migrate` sends its evict only once they are
+        // written to their shard.
+        self.write_pending();
+        match local {
+            Local::Ping(seq) => self.sink.send(&pong(shared, seq)),
+            Local::Metrics(seq) => self.sink.send_json(&merged_metrics(shared, seq)),
+            Local::Migrate => handle_migrate(shared, &parsed, &self.sink),
+            Local::Reject(reply) => self.sink.send_line(&reply),
+        }
+        true
+    }
+
+    fn caught_up(&mut self) {
+        self.write_pending();
+    }
+}
+
+impl Drop for Client<'_> {
+    fn drop(&mut self) {
+        self.closing.store(true, Ordering::Relaxed);
+        for backend in self.backends.values() {
+            let _ = backend.stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+impl Client<'_> {
+    /// Writes each shard's pending lines in one write. Lines that cannot
+    /// be written get one typed `shard-unreachable` error each, carrying
+    /// their tenant and `seq`.
+    fn write_pending(&mut self) {
+        for shard in 0..self.pending.len() {
+            if self.pending[shard].bytes.is_empty() {
+                continue;
+            }
+            let mut batch = std::mem::take(&mut self.pending[shard]);
+            let metrics = &self.shared.metrics;
+            let lines = u64::try_from(batch.lines.len()).unwrap_or(u64::MAX);
+            if self.write_to(shard, &batch.bytes) {
+                metrics.shard_writes.fetch_add(1, Ordering::Relaxed);
+                metrics
+                    .forwarded_requests
+                    .fetch_add(lines, Ordering::Relaxed);
+            } else {
+                metrics
+                    .shard_unreachable
+                    .fetch_add(lines, Ordering::Relaxed);
+                for (tenant, seq) in &batch.lines {
+                    self.sink.send(&Reply::error(
+                        CODE_SHARD_UNREACHABLE,
+                        format!("shard {shard} is unreachable"),
+                        Some(tenant),
+                        *seq,
+                    ));
+                }
+            }
+            batch.bytes.clear();
+            batch.lines.clear();
+            self.pending[shard] = batch;
+        }
+    }
+
+    /// Writes `bytes` to `shard`, opening (or reopening, once) the backend
+    /// connection and its relay thread on demand. `false` when both
+    /// attempts fail.
+    fn write_to(&mut self, shard: usize, bytes: &[u8]) -> bool {
+        for _attempt in 0..2u32 {
+            let dead = self
+                .backends
+                .get(&shard)
+                .is_some_and(|b| !b.alive.load(Ordering::Relaxed));
+            if dead {
+                if let Some(b) = self.backends.remove(&shard) {
+                    let _ = b.stream.shutdown(Shutdown::Both);
+                }
+            }
+            if let Entry::Vacant(slot) = self.backends.entry(shard) {
+                match open_backend(self.shared, shard, &self.sink, &self.closing) {
+                    Ok(b) => {
+                        slot.insert(b);
+                    }
+                    Err(_) => return false,
+                }
+            }
+            let Some(backend) = self.backends.get(&shard) else {
+                return false;
+            };
+            if (&backend.stream).write_all(bytes).is_ok() {
+                return true;
+            }
+            // The write half died between the liveness check and the write;
+            // drop the entry and retry once with a fresh connection.
+            if let Some(b) = self.backends.remove(&shard) {
                 let _ = b.stream.shutdown(Shutdown::Both);
             }
         }
-        if let Entry::Vacant(slot) = backends.entry(shard) {
-            match open_backend(shared, shard, sink, closing) {
-                Ok(b) => {
-                    slot.insert(b);
-                }
-                Err(_) => break,
-            }
-        }
-        let Some(backend) = backends.get(&shard) else {
-            break;
-        };
-        let mut w = &backend.stream;
-        if w.write_all(line.as_bytes()).is_ok() && w.write_all(b"\n").is_ok() {
-            shared
-                .metrics
-                .forwarded_requests
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        // The write half died between the liveness check and the write;
-        // drop the entry and retry once with a fresh connection.
-        if let Some(b) = backends.remove(&shard) {
-            let _ = b.stream.shutdown(Shutdown::Both);
-        }
+        false
     }
-    shared
-        .metrics
-        .shard_unreachable
-        .fetch_add(1, Ordering::Relaxed);
-    sink.send(&Reply::error(
-        CODE_SHARD_UNREACHABLE,
-        format!("shard {shard} is unreachable"),
-        Some(tenant),
-        seq,
-    ));
 }
 
 /// Connects to `shard` (with seeded backoff between attempts) and spawns
@@ -414,7 +477,13 @@ impl RelayHandle {
                     if !line.ends_with('\n') {
                         line.push('\n');
                     }
-                    self.sink.send_line(&line);
+                    self.sink.write_line(&line);
+                    // Flush once no further complete reply is buffered, so
+                    // nothing is held while the relay waits on the shard.
+                    if !reader.buffer().contains(&b'\n') {
+                        self.metrics.relay_flushes.fetch_add(1, Ordering::Relaxed);
+                        self.sink.flush();
+                    }
                 }
             }
         }
@@ -788,6 +857,114 @@ fn merged_metrics(shared: &Shared, seq: Option<u64>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::JoinHandle;
+
+    /// A scripted shard serving `conns` connections: it answers every
+    /// line with the line itself, in one write per read burst.
+    fn echo_shard(conns: usize) -> (String, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let shard = std::thread::spawn(move || {
+            std::thread::scope(|scope| {
+                for stream in listener.incoming().take(conns) {
+                    let stream = stream.unwrap();
+                    scope.spawn(move || {
+                        let mut reader = BufReader::new(&stream);
+                        let (mut line, mut out) = (String::new(), String::new());
+                        while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                            out.push_str(&line);
+                            line.clear();
+                            if !reader.buffer().contains(&b'\n') {
+                                if (&stream).write_all(out.as_bytes()).is_err() {
+                                    break;
+                                }
+                                out.clear();
+                            }
+                        }
+                    });
+                }
+            });
+        });
+        (addr, shard)
+    }
+
+    /// A router fronting `shard` that exits once its one client is gone,
+    /// and a connection to it with a 10 s read timeout.
+    fn route_to(shard: String) -> (TcpStream, BufReader<TcpStream>, JoinHandle<RouterReport>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let config = RouterConfig {
+            shards: vec![shard],
+            connect_attempts: 1,
+            ..RouterConfig::default()
+        };
+        let router = std::thread::spawn(move || run_router(listener, config).unwrap());
+        let client = TcpStream::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let reader = BufReader::new(client.try_clone().unwrap());
+        (client, reader, router)
+    }
+
+    fn tick(i: u64) -> String {
+        format!("{{\"type\":\"tick\",\"tenant\":\"t\",\"now\":{i},\"seq\":{i}}}\n")
+    }
+
+    /// A client that waits for each reply before it sends the next line
+    /// gets every reply: no line or reply is held while the router waits.
+    #[test]
+    fn lock_step_client_gets_each_reply() {
+        let (shard_addr, shard) = echo_shard(1);
+        let (mut client, mut reader, router) = route_to(shard_addr);
+        for i in 0..5 {
+            client.write_all(tick(i).as_bytes()).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            assert_eq!(reply, tick(i));
+        }
+        drop((client, reader));
+        assert_eq!(router.join().unwrap().forwarded_requests, 5);
+        shard.join().unwrap();
+    }
+
+    /// Lines sent in one write come back byte for byte and in order, in
+    /// fewer shard writes and relay flushes than lines.
+    #[test]
+    fn a_burst_is_forwarded_and_relayed_in_batches() {
+        let (shard_addr, shard) = echo_shard(2);
+        let (mut client, mut reader, router) = route_to(shard_addr);
+        let burst: String = (0..32).map(tick).collect();
+        client.write_all(burst.as_bytes()).unwrap();
+        let mut replies = String::new();
+        for _ in 0..32 {
+            reader.read_line(&mut replies).unwrap();
+        }
+        assert_eq!(replies, burst);
+        // The echo shard answers the router's control `metrics` with the
+        // request itself, so the merge carries only the router's counters.
+        client.write_all(b"{\"type\":\"metrics\"}\n").unwrap();
+        let mut metrics = String::new();
+        reader.read_line(&mut metrics).unwrap();
+        let router_counters = Json::parse(metrics.trim())
+            .unwrap()
+            .get("router")
+            .cloned()
+            .unwrap();
+        let count = |key: &str| router_counters.get(key).and_then(Json::as_u64).unwrap();
+        assert_eq!(count("forwarded_requests"), 32);
+        assert!(
+            (1..32).contains(&count("shard_writes")),
+            "{router_counters:?}"
+        );
+        assert!(
+            (1..32).contains(&count("relay_flushes")),
+            "{router_counters:?}"
+        );
+        drop((client, reader));
+        router.join().unwrap();
+        shard.join().unwrap();
+    }
 
     #[test]
     fn bad_configs_are_rejected_before_binding_matters() {

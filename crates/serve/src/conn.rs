@@ -24,10 +24,11 @@ use crate::protocol::{Reply, MAX_LINE_BYTES};
 /// or one log channel such as stdout.
 ///
 /// The `send*` methods write one line and flush it. The daemon's workers
-/// instead `write` each reply and `flush` once per batch. The first write
-/// or flush error shuts the sink off for good: the peer is gone, and the
-/// thread reading from it notices on its own side. So a dead client,
-/// metrics consumer or log reader never takes the process down.
+/// and the router's relays instead write each line and `flush` once per
+/// batch. The first write or flush error shuts the sink off for good: the
+/// peer is gone, and the thread reading from it notices on its own side.
+/// So a dead client, metrics consumer or log reader never takes the
+/// process down.
 pub struct LineSink {
     writer: Mutex<Option<SinkWriter>>,
     /// A daemon connection counts its `replies` and `reply_flushes` here.
@@ -91,7 +92,8 @@ impl LineSink {
         self.write_line(&reply.to_line());
     }
 
-    fn write_line(&self, line: &str) {
+    /// Writes one line, which must end in `\n`, without flushing it.
+    pub fn write_line(&self, line: &str) {
         // The writer lock is the line serialization point: it spans the
         // whole write, so lines from several threads never interleave.
         // lint:allow(lock-discipline): deliberate hold across the write
@@ -113,7 +115,7 @@ impl LineSink {
 
     /// Pushes every line written so far to the peer; a no-op when none is
     /// pending (another thread's flush already carried it).
-    pub(crate) fn flush(&self) {
+    pub fn flush(&self) {
         // Same serialization point as `write_line`: a flush must not
         // interleave with a half-written line.
         // lint:allow(lock-discipline): deliberate hold across the flush
@@ -132,9 +134,30 @@ impl LineSink {
     }
 }
 
-/// Reads request lines from `input` until EOF, a read error, or `handle`
-/// returning `false`, and hands each non-blank line to `handle` trimmed
-/// and parsed.
+/// What [`read_lines`] hands request lines to. Any
+/// `FnMut(&str, Json) -> bool` closure is one.
+pub trait LineHandler {
+    /// Handles one non-blank request line, trimmed and parsed; returning
+    /// `false` ends the loop.
+    fn line(&mut self, line: &str, parsed: Json) -> bool;
+
+    /// Called whenever no complete line is buffered, so the next read may
+    /// wait on the peer: whatever the handler holds back must go out now.
+    fn caught_up(&mut self) {}
+}
+
+impl<F: FnMut(&str, Json) -> bool> LineHandler for F {
+    fn line(&mut self, line: &str, parsed: Json) -> bool {
+        self(line, parsed)
+    }
+}
+
+/// Reads request lines from `input` until EOF, a read error, or `handler`
+/// returning `false`, and hands each non-blank line to `handler` trimmed
+/// and parsed. Before every read that may wait on the peer — no complete
+/// line is left in the buffer, though part of one may be — it calls
+/// [`LineHandler::caught_up`], whether or not the last line reached the
+/// handler.
 ///
 /// Transport faults are answered on `sink` here. A line over
 /// [`MAX_LINE_BYTES`] gets `line-too-long`, and the rest of it is skipped,
@@ -142,10 +165,13 @@ impl LineSink {
 /// that is not UTF-8 or does not parse gets `bad-json`; the reply for bad
 /// UTF-8 echoes none of the line's bytes. A read timeout gets
 /// `read-timeout` and ends the loop.
-pub fn read_lines(input: impl Read, sink: &LineSink, mut handle: impl FnMut(&str, Json) -> bool) {
+pub fn read_lines(input: impl Read, sink: &LineSink, mut handler: impl LineHandler) {
     let mut reader = BufReader::new(input);
     let mut line = Vec::new();
     loop {
+        if !reader.buffer().contains(&b'\n') {
+            handler.caught_up();
+        }
         line.clear();
         match read_bounded_line(&mut reader, &mut line) {
             Ok(0) => break,
@@ -192,7 +218,7 @@ pub fn read_lines(input: impl Read, sink: &LineSink, mut handle: impl FnMut(&str
                 continue;
             }
         };
-        if !handle(trimmed, parsed) {
+        if !handler.line(trimmed, parsed) {
             break;
         }
     }
@@ -304,5 +330,101 @@ mod tests {
         // Both writes are absorbed; the second hits the shut-off sink.
         sink.send_json(&m.snapshot_json());
         sink.send_json(&m.snapshot_json());
+    }
+
+    /// A writer the test can read back while the sink holds it.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            lock(&self.0).extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Delivers `chunks` one per read. Before each read after the first
+    /// — where a socket would wait on the peer — it records what the peer
+    /// has received so far.
+    struct Chunked {
+        chunks: Vec<&'static [u8]>,
+        next: usize,
+        peer: Shared,
+        seen_at_pause: Vec<String>,
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.next > 0 {
+                let seen = String::from_utf8(lock(&self.peer.0).clone()).unwrap();
+                self.seen_at_pause.push(seen);
+            }
+            let Some(chunk) = self.chunks.get(self.next) else {
+                return Ok(0);
+            };
+            self.next += 1;
+            buf[..chunk.len()].copy_from_slice(chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    /// A handler that holds its answers back until `caught_up`, as the
+    /// router holds forwarded lines: a complete line followed by half of
+    /// the next one is still answered before the reader waits for the
+    /// rest, and so are lines that never reach the handler.
+    #[test]
+    fn caught_up_fires_before_a_read_that_may_wait() {
+        let peer = Shared::default();
+        let sink = LineSink::new(Box::new(BufWriter::new(peer.clone())));
+        let mut input = Chunked {
+            chunks: vec![
+                b"{\"type\":\"ping\"}\n{\"ty",
+                b"pe\":\"ping\",\"seq\":2}\n\n",
+                b"{\"type\":\"ping\",\"seq\":3}\nnot json\n",
+            ],
+            next: 0,
+            peer: peer.clone(),
+            seen_at_pause: Vec::new(),
+        };
+        struct Holding<'a> {
+            sink: &'a LineSink,
+            held: Vec<String>,
+        }
+        impl LineHandler for Holding<'_> {
+            fn line(&mut self, _: &str, parsed: Json) -> bool {
+                let seq = parsed.get("seq").and_then(Json::as_u64).unwrap_or(0);
+                self.held.push(format!("pong {seq}\n"));
+                true
+            }
+            fn caught_up(&mut self) {
+                for line in self.held.drain(..) {
+                    self.sink.write_line(&line);
+                }
+                self.sink.flush();
+            }
+        }
+        read_lines(
+            &mut input,
+            &sink,
+            Holding {
+                sink: &sink,
+                held: Vec::new(),
+            },
+        );
+        let at_pause = &input.seen_at_pause;
+        assert_eq!(at_pause.len(), 3, "{at_pause:?}");
+        assert_eq!(at_pause[0], "pong 0\n");
+        // The last complete line is blank, then one that does not parse:
+        // neither reaches the handler, and the held pong still leaves
+        // before the next read.
+        assert_eq!(at_pause[1], "pong 0\npong 2\n");
+        assert!(
+            at_pause[2].contains("\"code\":\"bad-json\""),
+            "{at_pause:?}"
+        );
+        assert!(at_pause[2].ends_with("pong 3\n"), "{at_pause:?}");
     }
 }

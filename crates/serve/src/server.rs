@@ -615,7 +615,7 @@ fn report(shared: &Shared) -> ServeReport {
 /// Reads request lines from one connection until EOF, routing them.
 fn run_connection(shared: &Shared, conn: u64, input: impl Read, output: Box<dyn Write + Send>) {
     let sink = Arc::new(LineSink::counted(output, &shared.metrics));
-    conn::read_lines(input, &sink, |_, parsed| {
+    conn::read_lines(input, &sink, |_: &str, parsed: Json| {
         let request = match Request::from_json(&parsed) {
             Ok(r) => r,
             Err((code, message)) => {

@@ -15,7 +15,7 @@ const PARKED: usize = 64;
 /// Jobs per session.
 const JOBS: usize = 1_000;
 /// The bound on VmRSS growth per parked session.
-const MAX_KIB_PER_SESSION: u64 = 64;
+const MAX_KIB_PER_SESSION: u64 = 24;
 
 struct Daemon {
     child: Child,

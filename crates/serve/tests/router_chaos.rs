@@ -707,3 +707,120 @@ fn oversized_line_is_line_too_long_through_the_router() {
     let pong = Json::parse(line.trim()).expect("pong json");
     assert_eq!(pong.get("type").and_then(Json::as_str), Some("pong"));
 }
+
+/// Arrivals and a `migrate` sent in one client write: the router writes
+/// the arrivals to the source shard before it acts on the `migrate`, so
+/// the evict cuts the session after every one of them. No arrival meets
+/// the tombstone (`tenant-moved`), and the session, resumed on the
+/// destination, drains to the batch engine's exact accounting.
+#[test]
+fn arrivals_batched_with_a_migrate_reach_the_source_first() {
+    let journal_dir = TempDir::new("batched-mig");
+    let (mut daemon_a, addr_a) = spawn_daemon(&journal_dir.0);
+    let (mut daemon_b, addr_b) = spawn_daemon(&journal_dir.0);
+    let (router_addr, config) = spawn_router(vec![addr_a, addr_b], 8);
+
+    let name = "batched";
+    let to = 1 - Ring::new(config.shards.len(), config.vnodes, config.seed).owner(name);
+    let algorithm = Algorithm::Alg1;
+    let params = GenParams {
+        max_n: 1,
+        max_t: 8,
+        max_g: 60,
+        max_p: 1,
+        max_weight: 1,
+    };
+    let case = gen_case_sized(4242, &params, 60);
+    let expected = run_online(
+        &case.instance,
+        case.cal_cost,
+        algorithm.scheduler().as_mut(),
+    );
+
+    let stream = TcpStream::connect(&router_addr).expect("connect router");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let send = |line: String| (&stream).write_all(line.as_bytes()).expect("send");
+    let mut reply = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply");
+        Json::parse(line.trim()).expect("reply json")
+    };
+    let ty = |v: &Json| {
+        v.get("type")
+            .and_then(Json::as_str)
+            .unwrap_or("")
+            .to_string()
+    };
+    // One request line carrying the tenant's next `seq`.
+    let line = |mut fields: Vec<(&'static str, Json)>, seq: &mut u64| {
+        fields.push(("seq", seq.to_json()));
+        *seq += 1;
+        format!("{}\n", Json::obj(fields).to_string_compact())
+    };
+    let mut seq = 0u64;
+
+    send(line(
+        vec![
+            ("type", "hello".to_json()),
+            ("tenant", name.to_json()),
+            ("machines", case.instance.machines().to_json()),
+            ("cal_len", case.instance.cal_len().to_json()),
+            ("cal_cost", case.cal_cost.to_json()),
+            ("algorithm", algorithm.name().to_json()),
+        ],
+        &mut seq,
+    ));
+    assert_eq!(ty(&reply()), "ok");
+
+    // Every release group's arrival, then the migrate, in one write.
+    let mut jobs: Vec<Job> = case.instance.jobs().to_vec();
+    jobs.sort_by_key(|j| (j.release, j.id));
+    let mut burst = String::new();
+    let mut arrivals = 0;
+    for group in jobs.chunk_by(|a, b| a.release == b.release) {
+        burst.push_str(&line(
+            vec![
+                ("type", "arrive".to_json()),
+                ("tenant", name.to_json()),
+                ("jobs", group.to_vec().to_json()),
+            ],
+            &mut seq,
+        ));
+        arrivals += 1;
+    }
+    burst.push_str(&format!(
+        "{{\"type\":\"migrate\",\"tenant\":\"{name}\",\"to\":{to}}}\n"
+    ));
+    send(burst);
+    let replies: Vec<Json> = (0..=arrivals).map(|_| reply()).collect();
+    let oks = replies.iter().filter(|r| ty(r) == "ok").count();
+    assert_eq!(oks, arrivals, "every arrival applied: {replies:?}");
+    let migrated = replies
+        .iter()
+        .find(|r| ty(r) == "migrated")
+        .expect("migrated reply");
+    assert_eq!(migrated.get("fallback"), Some(&Json::Bool(false)));
+
+    // Resume on the destination and drain there.
+    send(format!("{{\"type\":\"resume\",\"tenant\":\"{name}\"}}\n"));
+    assert_eq!(ty(&reply()), "resumed");
+    send(line(
+        vec![("type", "drain".to_json()), ("tenant", name.to_json())],
+        &mut seq,
+    ));
+    assert_exact_accounting(&reply(), name, expected.flow, expected.cost);
+    send(line(
+        vec![("type", "bye".to_json()), ("tenant", name.to_json())],
+        &mut seq,
+    ));
+    assert_eq!(ty(&reply()), "goodbye");
+
+    // Disconnecting closes the router's backend connections, so both
+    // shards, tenant-less, exit on their own.
+    drop((reader, stream));
+    daemon_a.wait().expect("shard A exits");
+    daemon_b.wait().expect("shard B exits");
+}
