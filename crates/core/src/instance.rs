@@ -1,5 +1,7 @@
 //! Problem instances: a job set plus machine count and calibration length.
 
+use std::collections::HashMap;
+
 use crate::job::{normalize_releases, sort_jobs, Job};
 use crate::types::{Cost, JobId, Time, Weight};
 
@@ -116,6 +118,13 @@ impl Instance {
     /// Looks up a job by id. `O(n)`; fine for checking and tests.
     pub fn job(&self, id: JobId) -> Option<&Job> {
         self.jobs.iter().find(|j| j.id == id)
+    }
+
+    /// Every job keyed by its id (ids are unique). Build it once where
+    /// each of many assignments looks its job up: one [`Instance::job`]
+    /// per assignment is quadratic.
+    pub fn jobs_by_id(&self) -> HashMap<JobId, &Job> {
+        self.jobs.iter().map(|j| (j.id, j)).collect()
     }
 
     /// Earliest release time (`None` when there are no jobs).

@@ -68,11 +68,12 @@ impl Schedule {
     /// Panics if an assignment references a job absent from the instance;
     /// unassigned jobs contribute nothing (the checker flags them).
     pub fn total_weighted_flow(&self, instance: &Instance) -> Cost {
+        let by_id = instance.jobs_by_id();
         self.assignments
             .iter()
             .map(|a| {
-                let job = instance
-                    .job(a.job)
+                let job = by_id
+                    .get(&a.job)
                     .unwrap_or_else(|| panic!("assignment references unknown job {}", a.job));
                 job.flow_if_started(a.start)
             })
@@ -122,6 +123,7 @@ impl Schedule {
 mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
+    use crate::job::Job;
 
     fn two_job_instance() -> Instance {
         InstanceBuilder::new(3).job(0, 2).job(1, 5).build().unwrap()
@@ -160,6 +162,35 @@ mod tests {
         let inside = sched.jobs_in_interval(c, inst.cal_len());
         assert_eq!(inside.len(), 1);
         assert_eq!(inside[0].job, JobId(0));
+    }
+
+    #[test]
+    fn flow_sum_matches_per_assignment_lookups_for_shuffled_ids() {
+        // Ids run against release order, and assignments are listed in a
+        // third order, so an index keyed by position would misprice jobs.
+        let jobs: Vec<Job> = (0u32..50)
+            .map(|i| Job::new((i * 7) % 50, i64::from(i) * 2, u64::from(i % 5 + 1)))
+            .collect();
+        let inst = Instance::new(jobs, 1, 4).unwrap();
+        let assignments: Vec<Assignment> = (0u32..50)
+            .map(|i| {
+                let job = inst.jobs()[usize::try_from((i * 13) % 50).unwrap()];
+                Assignment::new(job.id, job.release + i64::from(i % 3), MachineId(0))
+            })
+            .collect();
+        let per_assignment: Cost = assignments
+            .iter()
+            .map(|a| inst.job(a.job).unwrap().flow_if_started(a.start))
+            .sum();
+        let sched = Schedule::new(vec![], assignments);
+        assert_eq!(sched.total_weighted_flow(&inst), per_assignment);
+    }
+
+    #[test]
+    #[should_panic(expected = "assignment references unknown job")]
+    fn flow_sum_panics_on_unknown_job() {
+        let sched = Schedule::new(vec![], vec![Assignment::new(JobId(9), 0, MachineId(0))]);
+        sched.total_weighted_flow(&two_job_instance());
     }
 
     #[test]

@@ -33,8 +33,8 @@ use calib_core::{
     assign_greedy_with_policy, check_schedule, Cost, Instance, Job, JobId, PriorityPolicy, Schedule,
 };
 use calib_offline::{
-    min_flow_by_budget, opt_online_brute_multi, opt_online_cost, optimal_assignment_exhaustive,
-    optimal_flow_brute, optimal_flow_exhaustive, solve_offline,
+    opt_online_brute_multi, opt_online_cost, optimal_assignment_exhaustive, optimal_flow_brute,
+    optimal_flow_exhaustive, DpTable, OfflineError, OnlineOpt,
 };
 use calib_online::{
     run_alg3_practical, run_online, run_weighted_multi_practical, Alg1, Alg2, Alg3,
@@ -206,8 +206,16 @@ impl Oracle {
                 });
             }
         }
-        self.offline_checks(inst, g, &mut failures);
-        self.ratio_checks(inst, g, &mut failures);
+        if inst.machines() == 1 {
+            // The DP and the ratios read one normalized instance and its OPT,
+            // so the DP's OPT and the online runs see the same input.
+            let norm = inst.normalized();
+            let opt = opt_online_cost(&norm, g);
+            self.offline_checks(&norm, g, &opt, &mut failures);
+            self.ratio_checks(&norm, g, &opt, &mut failures);
+        } else {
+            self.multi_ratio_checks(inst, g, &mut failures);
+        }
         if let Some((name, result)) = runs.first() {
             self.assigner_checks(inst, name, result, &mut failures);
         }
@@ -302,26 +310,31 @@ impl Oracle {
         runs
     }
 
-    /// DP vs brute force vs exhaustive, plus DP-internal consistency.
-    fn offline_checks(&self, inst: &Instance, g: Cost, failures: &mut Vec<OracleFailure>) {
-        if inst.machines() != 1 {
-            return;
-        }
-        let norm = inst.normalized();
+    /// DP vs brute force vs exhaustive, plus DP-internal consistency, on
+    /// the normalized single-machine instance.
+    fn offline_checks(
+        &self,
+        norm: &Instance,
+        g: Cost,
+        opt: &Result<OnlineOpt, OfflineError>,
+        failures: &mut Vec<OracleFailure>,
+    ) {
         let n = norm.n();
 
-        // Budget sweep: F(k, n) must be non-increasing in k and agree with
-        // the Lemma 4.2 brute force wherever the latter is tractable.
-        let flows = match min_flow_by_budget(&norm, n) {
-            Ok(f) => f,
+        // One table answers every budget: F(k, n) must be non-increasing in
+        // k and agree with the Lemma 4.2 brute force wherever the latter is
+        // tractable.
+        let mut table = match DpTable::new(norm, n) {
+            Ok(t) => t,
             Err(e) => {
                 failures.push(OracleFailure {
                     check: Check::DpScheduleConsistent,
-                    detail: format!("min_flow_by_budget refused normalized instance: {e}"),
+                    detail: format!("DpTable refused normalized instance: {e}"),
                 });
                 return;
             }
         };
+        let flows = table.flows();
         // `prev` carries the last *feasible* budget and its flow, so the
         // failure message names the index the value actually came from even
         // when intermediate budgets are infeasible (None).
@@ -348,7 +361,7 @@ impl Oracle {
                 Some((g * Cost::try_from(k).ok()? + flow, k, flow))
             })
             .min();
-        let opt = opt_online_cost(&norm, g).map(|o| (o.cost, o.calibrations, o.flow));
+        let opt = opt.as_ref().map(|o| (o.cost, o.calibrations, o.flow));
         if opt.as_ref().ok() != sweep.as_ref() {
             failures.push(OracleFailure {
                 check: Check::OptMatchesSweep,
@@ -360,25 +373,16 @@ impl Oracle {
         }
 
         let brute_ok = n <= 9;
-        for (k, &budget_flow) in flows.iter().enumerate() {
-            let dp = match solve_offline(&norm, k) {
-                Ok(sol) => sol,
-                Err(e) => {
-                    failures.push(OracleFailure {
-                        check: Check::DpScheduleConsistent,
-                        detail: format!("solve_offline({k}) refused: {e}"),
-                    });
-                    continue;
-                }
-            };
+        for k in 0..=n {
+            let dp = table.solution(k);
             if let Some(sol) = &dp {
-                if let Err(e) = check_schedule(&norm, &sol.schedule) {
+                if let Err(e) = check_schedule(norm, &sol.schedule) {
                     failures.push(OracleFailure {
                         check: Check::DpScheduleConsistent,
                         detail: format!("budget {k}: reconstructed schedule infeasible: {e}"),
                     });
                 }
-                let sched_flow = sol.schedule.total_weighted_flow(&norm);
+                let sched_flow = sol.schedule.total_weighted_flow(norm);
                 if sched_flow != sol.flow {
                     failures.push(OracleFailure {
                         check: Check::DpScheduleConsistent,
@@ -388,18 +392,9 @@ impl Oracle {
                         ),
                     });
                 }
-                if budget_flow != Some(sol.flow) {
-                    failures.push(OracleFailure {
-                        check: Check::DpScheduleConsistent,
-                        detail: format!(
-                            "budget {k}: min_flow_by_budget={budget_flow:?} but solve_offline={}",
-                            sol.flow
-                        ),
-                    });
-                }
             }
             if brute_ok {
-                let brute = optimal_flow_brute(&norm, k);
+                let brute = optimal_flow_brute(norm, k);
                 match (&dp, &brute) {
                     (Some(sol), Some((bf, _))) if sol.flow != *bf => {
                         failures.push(OracleFailure {
@@ -428,8 +423,8 @@ impl Oracle {
         };
         if n <= 4 && window <= 12 {
             for k in 0..=2.min(n) {
-                let brute = optimal_flow_brute(&norm, k).map(|(f, _)| f);
-                let exhaustive = optimal_flow_exhaustive(&norm, k).map(|(f, _)| f);
+                let brute = optimal_flow_brute(norm, k).map(|(f, _)| f);
+                let exhaustive = optimal_flow_exhaustive(norm, k).map(|(f, _)| f);
                 if brute != exhaustive {
                     failures.push(OracleFailure {
                         check: Check::DpMatchesExhaustive,
@@ -442,81 +437,89 @@ impl Oracle {
         }
     }
 
-    /// Competitive-ratio checks against exact OPT.
-    fn ratio_checks(&self, inst: &Instance, g: Cost, failures: &mut Vec<OracleFailure>) {
-        if inst.machines() == 1 {
-            // Ratios are measured on the normalized instance so the DP's OPT
-            // and the online run see the same input.
-            let norm = inst.normalized();
-            let opt = match opt_online_cost(&norm, g) {
-                Ok(o) => o,
-                Err(e) => {
+    /// Competitive-ratio checks against the exact single-machine OPT of
+    /// the normalized instance.
+    fn ratio_checks(
+        &self,
+        norm: &Instance,
+        g: Cost,
+        opt: &Result<OnlineOpt, OfflineError>,
+        failures: &mut Vec<OracleFailure>,
+    ) {
+        let opt = match opt {
+            Ok(o) => o,
+            Err(e) => {
+                failures.push(OracleFailure {
+                    check: Check::DpScheduleConsistent,
+                    detail: format!("opt_online_cost refused normalized instance: {e}"),
+                });
+                return;
+            }
+        };
+        let ratio = |name: &'static str,
+                     check: Check,
+                     bound: Cost,
+                     sched: &mut dyn OnlineScheduler,
+                     failures: &mut Vec<OracleFailure>| {
+            let res = match catch_unwind(AssertUnwindSafe(|| run_online(norm, g, sched))) {
+                Ok(res) => res,
+                Err(payload) => {
                     failures.push(OracleFailure {
-                        check: Check::DpScheduleConsistent,
-                        detail: format!("opt_online_cost refused normalized instance: {e}"),
+                        check: Check::OnlineFeasible,
+                        detail: format!(
+                            "{name} (normalized): engine panicked: {}",
+                            panic_text(payload)
+                        ),
                     });
                     return;
                 }
             };
-            let ratio = |name: &'static str,
-                         check: Check,
-                         bound: Cost,
-                         sched: &mut dyn OnlineScheduler,
-                         failures: &mut Vec<OracleFailure>| {
-                let res = match catch_unwind(AssertUnwindSafe(|| run_online(&norm, g, sched))) {
-                    Ok(res) => res,
-                    Err(payload) => {
-                        failures.push(OracleFailure {
-                            check: Check::OnlineFeasible,
-                            detail: format!(
-                                "{name} (normalized): engine panicked: {}",
-                                panic_text(payload)
-                            ),
-                        });
-                        return;
-                    }
-                };
-                if res.cost > bound * opt.cost {
-                    failures.push(OracleFailure {
-                        check,
-                        detail: format!(
-                            "{name}: cost {} > {bound} x OPT {} (G={g})",
-                            res.cost, opt.cost
-                        ),
-                    });
-                }
-            };
-            if norm.is_unweighted() {
-                ratio("alg1", Check::RatioAlg1, 3, &mut Alg1::new(), failures);
-                ratio("alg3", Check::RatioAlg3, 12, &mut Alg3::new(), failures);
-            }
-            ratio("alg2", Check::RatioAlg2, 12, &mut Alg2::new(), failures);
-        } else if inst.is_unweighted() && inst.n() <= 5 {
-            let window = match (inst.min_release(), inst.max_release()) {
-                (Some(lo), Some(hi)) => (hi + inst.n() as i64) - (lo + 1 - inst.cal_len()) + 1,
-                _ => 0,
-            };
-            if window > 10 {
-                return;
-            }
-            let Some((opt_cost, _)) = opt_online_brute_multi(inst, g, inst.n()) else {
-                return;
-            };
-            let res = match catch_unwind(AssertUnwindSafe(|| run_online(inst, g, &mut Alg3::new())))
-            {
-                Ok(res) => res,
-                Err(_) => return, // already reported by online_runs
-            };
-            if res.cost > 12 * opt_cost {
+            if res.cost > bound * opt.cost {
                 failures.push(OracleFailure {
-                    check: Check::RatioAlg3,
+                    check,
                     detail: format!(
-                        "alg3 on P={}: cost {} > 12 x OPT {opt_cost} (G={g})",
-                        inst.machines(),
-                        res.cost
+                        "{name}: cost {} > {bound} x OPT {} (G={g})",
+                        res.cost, opt.cost
                     ),
                 });
             }
+        };
+        if norm.is_unweighted() {
+            ratio("alg1", Check::RatioAlg1, 3, &mut Alg1::new(), failures);
+            ratio("alg3", Check::RatioAlg3, 12, &mut Alg3::new(), failures);
+        }
+        ratio("alg2", Check::RatioAlg2, 12, &mut Alg2::new(), failures);
+    }
+
+    /// Algorithm 3's ratio on several machines, against the calibration
+    /// multiset brute force on tiny unweighted instances.
+    fn multi_ratio_checks(&self, inst: &Instance, g: Cost, failures: &mut Vec<OracleFailure>) {
+        if !inst.is_unweighted() || inst.n() > 5 {
+            return;
+        }
+        let window = match (inst.min_release(), inst.max_release()) {
+            (Some(lo), Some(hi)) => (hi + inst.n() as i64) - (lo + 1 - inst.cal_len()) + 1,
+            _ => 0,
+        };
+        if window > 10 {
+            return;
+        }
+        let Some((opt_cost, _)) = opt_online_brute_multi(inst, g, inst.n()) else {
+            return;
+        };
+        let res = match catch_unwind(AssertUnwindSafe(|| run_online(inst, g, &mut Alg3::new()))) {
+            Ok(res) => res,
+            Err(_) => return, // already reported by online_runs
+        };
+        if res.cost > 12 * opt_cost {
+            failures.push(OracleFailure {
+                check: Check::RatioAlg3,
+                detail: format!(
+                    "alg3 on P={}: cost {} > 12 x OPT {opt_cost} (G={g})",
+                    inst.machines(),
+                    res.cost
+                ),
+            });
         }
     }
 

@@ -50,7 +50,7 @@ impl std::fmt::Display for OfflineError {
 impl std::error::Error for OfflineError {}
 
 /// Result of the offline DP for one budget.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DpSolution {
     /// Minimum total weighted flow with at most the given budget.
     pub flow: Cost,
@@ -59,87 +59,124 @@ pub struct DpSolution {
     /// A reconstructed optimal schedule (feasible; calibrations possibly
     /// overlapping, which the model allows).
     pub schedule: Schedule,
-    /// Number of DP states evaluated (for the E6 scaling study).
-    pub states_evaluated: usize,
-}
-
-/// The `F(k, n)` values for `k = 0 ..= max_k`, as *weighted flows*
-/// (`None` = infeasible, i.e. `kT < n`).
-///
-/// One call computes the whole column (E6's budget curve, and the
-/// reference the online-objective optimum is tested against).
-pub fn min_flow_by_budget(
-    instance: &Instance,
-    max_k: usize,
-) -> Result<Vec<Option<Cost>>, OfflineError> {
-    let (table, _, _) = run_dp(instance, max_k)?;
-    let n = instance.n();
-    let release_sum = release_weight_sum(instance);
-    Ok(table
-        .iter()
-        .map(|row| row[n].map(|c| to_flow(c, release_sum)))
-        .collect())
 }
 
 /// Solves the offline problem: minimum total weighted flow of `instance`
 /// with at most `budget` calibrations, plus a reconstructed schedule.
 ///
 /// Returns `Ok(None)` when the budget cannot cover all jobs
-/// (`budget * T < n`).
+/// (`budget * T < n`). To answer several budgets, build one [`DpTable`].
 pub fn solve_offline(
     instance: &Instance,
     budget: usize,
 ) -> Result<Option<DpSolution>, OfflineError> {
-    solve_offline_counted(instance, budget, None)
+    Ok(DpTable::new(instance, budget)?.solution(budget))
 }
 
-/// [`solve_offline`] with an optional [`Counters`](calib_core::obs::Counters)
-/// registry: on return (feasible or not) the group DP's state
-/// expansion/prune totals are flushed to `dp_states_expanded` /
-/// `dp_states_pruned`.
-pub fn solve_offline_counted(
-    instance: &Instance,
-    budget: usize,
-    counters: Option<&calib_core::obs::Counters>,
-) -> Result<Option<DpSolution>, OfflineError> {
-    let (table, mut gdp, groups_choice) = run_dp(instance, budget)?;
-    let flush = |gdp: &GroupDp| {
-        if let Some(c) = counters {
-            gdp.flush_counters(c);
-        }
-    };
-    let n = instance.n();
-    let completion = match table[budget][n] {
-        None => {
-            flush(&gdp);
-            return Ok(None);
-        }
-        Some(c) => c,
-    };
+/// Proposition 1's table `F(k, v)` for every budget `k = 0 ..= max_k`,
+/// with the split chosen per state and the group DP memo behind it.
+///
+/// Row `k` reads only rows below it, so one table answers every budget up
+/// to `max_k`: its flow ([`DpTable::flow`]) and a reconstructed optimal
+/// schedule ([`DpTable::solution`]).
+pub struct DpTable {
+    /// `rows[k][v]`: the least weighted completion time of the first `v`
+    /// jobs with at most `k` calibrations and the `u` that starts their
+    /// last group (`None` when infeasible, i.e. `kT < v`).
+    rows: Vec<Vec<Option<(i128, usize)>>>,
+    gdp: GroupDp,
+    release_sum: i128,
+}
 
-    // Reconstruct: walk the group boundaries chosen by F, then rebuild each
-    // group's placements from the memoized choices.
-    let mut groups: Vec<(usize, usize)> = Vec::new();
-    let mut k = budget;
-    let mut v = n;
-    while v > 0 {
-        let u = groups_choice[k][v].expect("feasible state has a recorded split");
-        groups.push((u - 1, v - 1)); // to 0-based inclusive
-        let used = group_calibration_count(v - u + 1, instance.cal_len());
-        v = u - 1;
-        k -= used;
+impl DpTable {
+    /// Fills `F(k, v)` for `k = 0 ..= max_k` over a single-machine,
+    /// normalized instance.
+    pub fn new(instance: &Instance, max_k: usize) -> Result<DpTable, OfflineError> {
+        check_single_machine(instance)?;
+        let jobs = instance.jobs();
+        let n = jobs.len();
+        let t = instance.cal_len();
+        let mut gdp = GroupDp::new(RankedJobs::new(jobs), t);
+
+        let mut rows: Vec<Vec<Option<(i128, usize)>>> = Vec::with_capacity(max_k + 1);
+        for k in 0..=max_k {
+            let mut row = vec![None; n + 1];
+            row[0] = Some((0, 0));
+            for (v, cell) in row.iter_mut().enumerate().skip(1) {
+                if (k as i128) * (t as i128) < v as i128 {
+                    continue; // infeasible: kT < v
+                }
+                for u in 1..=v {
+                    let used = group_calibration_count(v - u + 1, t);
+                    if used > k {
+                        continue;
+                    }
+                    let prefix = rows[k - used][u - 1];
+                    if let (Some((p, _)), Some(g)) = (prefix, gdp.f(u - 1, v - 1, 0)) {
+                        if cell.is_none_or(|(b, _)| p + g < b) {
+                            *cell = Some((p + g, u));
+                        }
+                    }
+                }
+            }
+            rows.push(row);
+        }
+        Ok(DpTable {
+            rows,
+            gdp,
+            release_sum: jobs.iter().map(release_weight).sum(),
+        })
     }
-    groups.reverse();
 
-    let schedule = rebuild::rebuild_schedule(&mut gdp, &groups);
-    flush(&gdp);
-    let release_sum = release_weight_sum(instance);
-    Ok(Some(DpSolution {
-        flow: to_flow(completion, release_sum),
-        weighted_completion: completion.max(0) as Cost,
-        schedule,
-        states_evaluated: gdp.states_evaluated(),
-    }))
+    /// `F(k, n)` as a weighted flow (`None` when `kT < n`).
+    ///
+    /// Panics if `k` exceeds the table's `max_k`.
+    pub fn flow(&self, k: usize) -> Option<Cost> {
+        let row = &self.rows[k];
+        row[row.len() - 1].map(|(c, _)| to_flow(c, self.release_sum))
+    }
+
+    /// `F(k, n)` as weighted flows for `k = 0 ..= max_k`: the budget curve.
+    pub fn flows(&self) -> Vec<Option<Cost>> {
+        (0..self.rows.len()).map(|k| self.flow(k)).collect()
+    }
+
+    /// The optimum for budget `k` with its schedule, rebuilt from the
+    /// recorded group boundaries and the group DP's choices (`None` when
+    /// `kT < n`).
+    ///
+    /// Panics if `k` exceeds the table's `max_k`.
+    pub fn solution(&mut self, mut k: usize) -> Option<DpSolution> {
+        let mut v = self.rows[k].len() - 1;
+        let (completion, _) = self.rows[k][v]?;
+        // Walk the group boundaries chosen by F, last group first.
+        let mut groups: Vec<(usize, usize)> = Vec::new();
+        while v > 0 {
+            let (_, u) = self.rows[k][v].expect("feasible state has a recorded split");
+            groups.push((u - 1, v - 1)); // to 0-based inclusive
+            k -= group_calibration_count(v - u + 1, self.gdp.cal_len());
+            v = u - 1;
+        }
+        groups.reverse();
+        Some(DpSolution {
+            flow: to_flow(completion, self.release_sum),
+            weighted_completion: completion.max(0) as Cost,
+            schedule: rebuild::rebuild_schedule(&mut self.gdp, &groups),
+        })
+    }
+
+    /// Group-DP states evaluated so far (for the E6 scaling study): the
+    /// memo's size, shared by every budget the table answers.
+    pub fn states_evaluated(&self) -> usize {
+        self.gdp.states_evaluated()
+    }
+
+    /// Adds the group DP's expansion/prune totals to a shared registry
+    /// (`dp_states_expanded` / `dp_states_pruned`). Call once, after the
+    /// last [`DpTable::solution`]: the registry accumulates.
+    pub fn flush_counters(&self, counters: &calib_core::obs::Counters) {
+        self.gdp.flush_counters(counters);
+    }
 }
 
 /// The input every single-machine solver needs: one machine and strictly
@@ -169,64 +206,10 @@ pub(crate) fn release_weight(job: &Job) -> i128 {
     i128::from(job.weight) * i128::from(job.release)
 }
 
-fn release_weight_sum(instance: &Instance) -> i128 {
-    instance.jobs().iter().map(release_weight).sum()
-}
-
 pub(crate) fn to_flow(completion: i128, release_sum: i128) -> Cost {
     let flow = completion - release_sum;
     debug_assert!(flow >= 0, "weighted flow must be nonnegative");
     flow.max(0) as Cost
-}
-
-type FTable = Vec<Vec<Option<i128>>>;
-type ChoiceTable = Vec<Vec<Option<usize>>>;
-
-/// Runs Proposition 1 over Proposition 2. Returns the `F` table
-/// (`table[k][v]`, `v` jobs prefix, 1-based `v`), the group-DP with its memo
-/// (for reconstruction), and the chosen `u` per state.
-fn run_dp(
-    instance: &Instance,
-    max_k: usize,
-) -> Result<(FTable, GroupDp, ChoiceTable), OfflineError> {
-    check_single_machine(instance)?;
-    let jobs = instance.jobs();
-    let n = jobs.len();
-    let t = instance.cal_len();
-
-    let mut gdp = GroupDp::new(RankedJobs::new(jobs), t);
-
-    let mut table: FTable = vec![vec![None; n + 1]; max_k + 1];
-    let mut choice: ChoiceTable = vec![vec![None; n + 1]; max_k + 1];
-    for k in 0..=max_k {
-        table[k][0] = Some(0);
-        for v in 1..=n {
-            if (k as i128) * (t as i128) < v as i128 {
-                continue; // infeasible: kT < v
-            }
-            let mut best: Option<(i128, usize)> = None;
-            for u in 1..=v {
-                let used = group_calibration_count(v - u + 1, t);
-                if used > k {
-                    continue;
-                }
-                let prefix = table[k - used][u - 1];
-                let group_cost = gdp.f(u - 1, v - 1, 0);
-                if let (Some(p), Some(g)) = (prefix, group_cost) {
-                    let c = p + g;
-                    if best.is_none_or(|(b, _)| c < b) {
-                        best = Some((c, u));
-                    }
-                }
-            }
-            if let Some((c, u)) = best {
-                table[k][v] = Some(c);
-                choice[k][v] = Some(u);
-            }
-        }
-    }
-
-    Ok((table, gdp, choice))
 }
 
 #[cfg(test)]
@@ -313,12 +296,12 @@ mod tests {
     }
 
     #[test]
-    fn min_flow_by_budget_is_monotone() {
+    fn budget_curve_is_monotone() {
         let inst = InstanceBuilder::new(2)
             .unit_jobs([0, 4, 9, 13, 20])
             .build()
             .unwrap();
-        let flows = min_flow_by_budget(&inst, 5).unwrap();
+        let flows = DpTable::new(&inst, 5).unwrap().flows();
         assert_eq!(flows.len(), 6);
         assert!(flows[0].is_none() && flows[1].is_none() && flows[2].is_none());
         let mut last = Cost::MAX;

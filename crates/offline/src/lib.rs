@@ -3,10 +3,10 @@
 //! Offline solvers for scheduling with calibrations (Section 4 of
 //! "Minimizing Total Weighted Flow Time with Calibrations", SPAA 2017):
 //!
-//! * [`solve_offline`] / [`min_flow_by_budget`] — the paper's `O(K n³)`
-//!   dynamic program (Propositions 1 and 2) computing the minimum total
-//!   weighted flow under a calibration budget `K` on a single machine, with
-//!   full schedule reconstruction;
+//! * [`DpTable`] — the paper's `O(K n³)` dynamic program (Propositions 1
+//!   and 2) on a single machine: one table holds the minimum total weighted
+//!   flow for every calibration budget `k ≤ K` and reconstructs an optimal
+//!   schedule for any of them; [`solve_offline`] answers one budget;
 //! * [`optimal_flow_brute`] / [`optimal_flow_exhaustive`] — exponential
 //!   reference solvers used to validate the DP and Lemma 4.2;
 //! * [`opt_r_brute`] — the release-order-restricted optimum `OPT_r`
@@ -17,11 +17,16 @@
 //!
 //! ```
 //! use calib_core::InstanceBuilder;
-//! use calib_offline::solve_offline;
+//! use calib_offline::{solve_offline, DpTable};
 //!
 //! let inst = InstanceBuilder::new(3).unit_jobs([0, 1, 2, 10]).build().unwrap();
 //! let sol = solve_offline(&inst, 2).unwrap().unwrap();
 //! assert_eq!(sol.flow, 4); // both bursts run at release with 2 calibrations
+//!
+//! // One table answers every budget up to 4 with the same optima.
+//! let mut table = DpTable::new(&inst, 4).unwrap();
+//! assert_eq!(table.flow(1), None); // one interval of T = 3 cannot hold 4 jobs
+//! assert_eq!(table.solution(2), Some(sol));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,7 +44,7 @@ pub use brute::{
     candidate_starts, for_each_multiset, for_each_subset, opt_online_brute_multi,
     optimal_assignment_exhaustive, optimal_flow_brute, optimal_flow_exhaustive,
 };
-pub use dp::{min_flow_by_budget, solve_offline, solve_offline_counted, DpSolution, OfflineError};
+pub use dp::{solve_offline, DpSolution, DpTable, OfflineError};
 pub use online_opt::{opt_online_cost, OnlineOpt};
 pub use opt_r::{assign_fifo, opt_r_brute, CandidateMode};
 pub use ranks::{RankedJobs, WindowInfo};

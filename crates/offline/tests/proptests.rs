@@ -5,8 +5,8 @@ use proptest::prelude::*;
 
 use calib_core::{check_schedule, Instance, Job, Time};
 use calib_offline::{
-    assign_fifo, candidate_starts, min_flow_by_budget, opt_online_cost, optimal_flow_brute,
-    solve_offline, OnlineOpt, RankedJobs,
+    assign_fifo, candidate_starts, opt_online_cost, optimal_flow_brute, solve_offline, DpTable,
+    OnlineOpt, RankedJobs,
 };
 
 /// Distinct-release job sets (what the single-machine solvers need).
@@ -67,7 +67,7 @@ proptest! {
         g in 0u128..80,
     ) {
         let inst = Instance::single_machine(jobs, t).unwrap();
-        let flows = min_flow_by_budget(&inst, inst.n()).unwrap();
+        let flows = DpTable::new(&inst, inst.n()).unwrap().flows();
         let feasible: Vec<u128> = flows.iter().copied().flatten().collect();
         prop_assert!(!feasible.is_empty());
         prop_assert!(feasible.windows(2).all(|w| w[1] <= w[0]), "not monotone: {feasible:?}");

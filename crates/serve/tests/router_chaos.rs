@@ -50,10 +50,32 @@ fn daemon_addr(child: &mut std::process::Child) -> String {
         .to_string()
 }
 
-fn spawn_daemon_args(
-    journal_dir: &std::path::Path,
-    extra: &[&str],
-) -> (std::process::Child, String) {
+/// A spawned `calib-serve` shard, killed and reaped when dropped so a
+/// failing test leaves no daemon running. Tests that expect an idle exit
+/// still `wait()` on it first.
+struct Daemon(std::process::Child);
+
+impl std::ops::Deref for Daemon {
+    type Target = std::process::Child;
+    fn deref(&self) -> &std::process::Child {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Daemon {
+    fn deref_mut(&mut self) -> &mut std::process::Child {
+        &mut self.0
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        self.0.kill().ok();
+        self.0.wait().ok();
+    }
+}
+
+fn spawn_daemon_args(journal_dir: &std::path::Path, extra: &[&str]) -> (Daemon, String) {
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_calib-serve"))
         .args([
             "--listen",
@@ -71,10 +93,10 @@ fn spawn_daemon_args(
         .spawn()
         .expect("spawn calib-serve");
     let addr = daemon_addr(&mut child);
-    (child, addr)
+    (Daemon(child), addr)
 }
 
-fn spawn_daemon(journal_dir: &std::path::Path) -> (std::process::Child, String) {
+fn spawn_daemon(journal_dir: &std::path::Path) -> (Daemon, String) {
     spawn_daemon_args(journal_dir, &[])
 }
 

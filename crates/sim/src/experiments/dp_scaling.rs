@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use calib_core::obs::Counters;
 use calib_core::Time;
-use calib_offline::solve_offline_counted;
+use calib_offline::DpTable;
 use calib_workloads::WeightModel;
 
 use crate::stats::power_law_exponent;
@@ -85,11 +85,15 @@ pub fn run(cfg: &DpScalingConfig) -> (Vec<DpScalingRow>, f64, Table) {
             let start = Instant::now();
             // A degenerate draw (unnormalized instance or short budget)
             // would poison the whole sweep; skip the rep instead.
-            let Ok(Some(sol)) = solve_offline_counted(&inst, budget, Some(&counters)) else {
+            let Ok(mut table) = DpTable::new(&inst, budget) else {
                 continue;
             };
+            let Some(sol) = table.solution(budget) else {
+                continue;
+            };
+            table.flush_counters(&counters);
             times.push(start.elapsed().as_secs_f64());
-            states = sol.states_evaluated;
+            states = table.states_evaluated();
             pruned = counters.snapshot().dp_states_pruned;
             flow = sol.flow;
         }

@@ -55,9 +55,7 @@ pub mod prelude {
         assign_greedy, check_schedule, Assignment, Calibration, Cost, Instance, InstanceBuilder,
         Job, JobId, MachineId, PriorityPolicy, Schedule, Time, Weight,
     };
-    pub use calib_offline::{
-        min_flow_by_budget, opt_online_cost, optimal_flow_brute, solve_offline,
-    };
+    pub use calib_offline::{opt_online_cost, optimal_flow_brute, solve_offline, DpTable};
     pub use calib_online::{
         play_lemma31, run_alg3_practical, run_online, Alg1, Alg2, Alg3, OnlineScheduler, RunResult,
     };
