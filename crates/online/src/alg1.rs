@@ -11,10 +11,13 @@
 //! Whenever the step is calibrated and `Q` is non-empty, the earliest
 //! released job runs (the engine's earliest-release auto policy).
 
-use calib_core::{earliest_flow_crossing, ge_ratio, lt_ratio, PriorityPolicy, Time};
+use calib_core::{PriorityPolicy, Time};
 
 use crate::engine::EngineView;
+use crate::rules::{Rules, Size};
 use crate::scheduler::{Decision, OnlineScheduler};
+use crate::tunable::Ratio;
+use reason::{FLOW, IMMEDIATE, QUEUE};
 
 /// Trigger labels recorded in the run trace.
 pub mod reason {
@@ -25,6 +28,17 @@ pub mod reason {
     /// Immediate calibration after a cheap interval (lines 11–14).
     pub const IMMEDIATE: &str = "alg1:immediate";
 }
+
+/// `|Q| ≥ G/T`, then `f ≥ G` in release order (line 18 of the
+/// pseudocode serves the earliest release), then `p < G/2`.
+pub(crate) const RULES: Rules = Rules {
+    size: Some(Size::Count),
+    full_queue: false,
+    flow: Some(Ratio::ONE),
+    order: PriorityPolicy::EarliestReleaseFirst,
+    immediate: Some(2),
+    labels: [Some(QUEUE), None, Some(FLOW), Some(IMMEDIATE)],
+};
 
 /// Algorithm 1 of the paper. `immediate_rule` enables the line 11–14
 /// "immediate calibration" after a cheap interval; disabling it is the E10
@@ -67,51 +81,17 @@ impl OnlineScheduler for Alg1 {
     }
 
     fn auto_policy(&self) -> PriorityPolicy {
-        // Unweighted: earliest release first (line 18 of the pseudocode).
-        PriorityPolicy::EarliestReleaseFirst
+        RULES.order
     }
 
     fn decide_early(&mut self, view: &EngineView) -> Decision {
         debug_assert_eq!(view.machines.len(), 1, "Algorithm 1 is single-machine");
-        if view.any_calibrated() || view.waiting.is_empty() {
-            return Decision::none();
-        }
-        let g = view.cal_cost;
-        // `cal_len >= 1` by instance validation; the fallback keeps the
-        // ratio denominator positive even in the unreachable branch.
-        let t_len = u128::try_from(view.cal_len).unwrap_or(1);
-
-        // |Q| >= G/T  (exact: |Q| * T >= G)
-        if ge_ratio(
-            u128::try_from(view.waiting.len()).unwrap_or(u128::MAX),
-            g,
-            t_len,
-        ) {
-            return Decision::calibrate(reason::QUEUE);
-        }
-        // f >= G
-        if view.queue_flow_from_next_step() >= g {
-            return Decision::calibrate(reason::FLOW);
-        }
-        // Immediate calibration: previous interval was cheap (p < G/2) and a
-        // job arrived right now.
-        if self.immediate_rule && view.arrived_now {
-            if let Some(last) = view.last_interval() {
-                if lt_ratio(last.total_flow(), g, 2) {
-                    return Decision::calibrate(reason::IMMEDIATE);
-                }
-            }
-        }
-        Decision::none()
+        let immediate = RULES.immediate.filter(|_| self.immediate_rule);
+        Rules { immediate, ..RULES }.decide_early(view)
     }
 
     fn next_wake(&self, view: &EngineView) -> Option<Time> {
-        if view.waiting.is_empty() {
-            return None;
-        }
-        // The only time-driven trigger is f >= G; |Q| and arrivals only
-        // change at release events, which wake the engine anyway.
-        earliest_flow_crossing(view.waiting, view.cal_cost)
+        RULES.wake(view)
     }
 }
 

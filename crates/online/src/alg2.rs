@@ -16,10 +16,13 @@
 //! proof of Lemma 3.5 all schedule the *heaviest* job first; heaviest-first
 //! is our default and lightest-first is kept as an ablation (DESIGN.md §5).
 
-use calib_core::{earliest_flow_crossing, ge_ratio, PriorityPolicy, Time};
+use calib_core::{PriorityPolicy, Time};
 
 use crate::engine::EngineView;
+use crate::rules::{Rules, Size};
 use crate::scheduler::{Decision, OnlineScheduler};
+use crate::tunable::Ratio;
+use reason::{FLOW, FULL_QUEUE, WEIGHT};
 
 /// Trigger labels recorded in the run trace.
 pub mod reason {
@@ -30,6 +33,17 @@ pub mod reason {
     /// The hypothetical queue flow reached `G`.
     pub const FLOW: &str = "alg2:flow>=G";
 }
+
+/// `Σ w(Q) ≥ G/T`, `|Q| = T` (`≥` for robustness; the queue only grows by
+/// arrivals), then `f ≥ G`, with `f` summed in extraction order.
+pub(crate) const RULES: Rules = Rules {
+    size: Some(Size::Weight(Ratio::ONE)),
+    full_queue: true,
+    flow: Some(Ratio::ONE),
+    order: PriorityPolicy::HighestWeightFirst,
+    immediate: None,
+    labels: [Some(WEIGHT), Some(FULL_QUEUE), Some(FLOW), None],
+};
 
 /// Which waiting job runs first once a step is calibrated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,12 +76,11 @@ impl Alg2 {
         }
     }
 
-    /// Queue flow in the order the policy would schedule.
-    fn queue_flow(&self, view: &EngineView) -> calib_core::Cost {
-        let mut q = view.waiting.to_vec();
-        let policy = self.auto_policy();
-        q.sort_by_key(|j| policy.sort_key(j));
-        calib_core::flow_if_run_consecutively(&q, view.t + 1)
+    fn rules(&self) -> Rules {
+        Rules {
+            order: self.auto_policy(),
+            ..RULES
+        }
     }
 }
 
@@ -94,40 +107,11 @@ impl OnlineScheduler for Alg2 {
 
     fn decide_early(&mut self, view: &EngineView) -> Decision {
         debug_assert_eq!(view.machines.len(), 1, "Algorithm 2 is single-machine");
-        if view.any_calibrated() || view.waiting.is_empty() {
-            return Decision::none();
-        }
-        let g = view.cal_cost;
-        // `cal_len >= 1` by instance validation; the fallback keeps the
-        // ratio denominator positive even in the unreachable branch.
-        let t_len = u128::try_from(view.cal_len).unwrap_or(1);
-
-        // Σ w(Q) >= G/T  (exact: Σw * T >= G)
-        if ge_ratio(view.queue_weight(), g, t_len) {
-            return Decision::calibrate(reason::WEIGHT);
-        }
-        // |Q| = T (>= for robustness; the queue can only grow by arrivals)
-        if Time::try_from(view.waiting.len()).unwrap_or(Time::MAX) >= view.cal_len {
-            return Decision::calibrate(reason::FULL_QUEUE);
-        }
-        // f >= G
-        if self.queue_flow(view) >= g {
-            return Decision::calibrate(reason::FLOW);
-        }
-        Decision::none()
+        self.rules().decide_early(view)
     }
 
     fn next_wake(&self, view: &EngineView) -> Option<Time> {
-        if view.waiting.is_empty() {
-            return None;
-        }
-        // f grows linearly with slope Σw regardless of order; the crossing
-        // time only depends on the queue composition, which is fixed between
-        // events. Use the policy order for exactness.
-        let mut q = view.waiting.to_vec();
-        let policy = self.auto_policy();
-        q.sort_by_key(|j| policy.sort_key(j));
-        earliest_flow_crossing(&q, view.cal_cost)
+        self.rules().wake(view)
     }
 }
 

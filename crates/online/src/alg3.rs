@@ -13,13 +13,12 @@
 //! calibration times and re-assign jobs with Observation 2.1; that variant
 //! is [`run_alg3_practical`] (the E10 ablation).
 
-use calib_core::{
-    assign_greedy_with_policy, earliest_flow_crossing, ge_ratio, Cost, Instance, PriorityPolicy,
-    Time,
-};
+use calib_core::{assign_greedy_with_policy, Cost, Instance, PriorityPolicy, Time};
 
 use crate::engine::{run_online, EngineView, RunResult};
-use crate::scheduler::{Decision, OnlineScheduler, Reservation};
+use crate::rules::{Rules, Size};
+use crate::scheduler::{Decision, OnlineScheduler};
+use crate::tunable::Ratio;
 
 /// Trigger labels recorded in the run trace.
 pub mod reason {
@@ -28,6 +27,16 @@ pub mod reason {
     /// The hypothetical queue flow reached `G`.
     pub const FLOW: &str = "alg3:flow>=G";
 }
+
+/// `|Q| ≥ G/T` or `f ≥ G`; jobs are reserved in release order.
+pub(crate) const RULES: Rules = Rules {
+    size: Some(Size::Count),
+    full_queue: false,
+    flow: Some(Ratio::ONE),
+    order: PriorityPolicy::EarliestReleaseFirst,
+    immediate: None,
+    labels: [Some(reason::QUEUE), None, Some(reason::FLOW), None],
+};
 
 /// Algorithm 3 of the paper (explicit "spec" assignment mode).
 #[derive(Debug, Clone, Default)]
@@ -38,17 +47,6 @@ impl Alg3 {
     pub fn new() -> Self {
         Alg3
     }
-
-    /// Jobs reserved per fresh interval: `max(1, ⌊G/T⌋)`. The floor matches
-    /// "up to G/T jobs" (Observation 3.9 counts on the remaining `T − G/T`
-    /// slots being free); the `max(1, ·)` keeps progress when `G < T`, where
-    /// the paper's algorithms schedule arrivals immediately anyway.
-    fn reserve_quota(g: Cost, t: Time) -> usize {
-        // `t >= 1` by instance validation; `Cost::MAX` as the fallback
-        // denominator floors the quota to 0 and the `max(1)` takes over.
-        let quota = g / Cost::try_from(t).unwrap_or(Cost::MAX);
-        usize::try_from(quota).unwrap_or(usize::MAX).max(1)
-    }
 }
 
 impl OnlineScheduler for Alg3 {
@@ -57,70 +55,15 @@ impl OnlineScheduler for Alg3 {
     }
 
     fn auto_policy(&self) -> PriorityPolicy {
-        PriorityPolicy::EarliestReleaseFirst
+        RULES.order
     }
 
     fn decide_late(&mut self, view: &EngineView) -> Decision {
-        if view.waiting.is_empty() {
-            return Decision::none();
-        }
-        let g = view.cal_cost;
-        // `cal_len >= 1` by instance validation; the fallback keeps the
-        // ratio denominator positive even in the unreachable branch.
-        let t_len = u128::try_from(view.cal_len).unwrap_or(1);
-
-        let queue_rule = ge_ratio(
-            u128::try_from(view.waiting.len()).unwrap_or(u128::MAX),
-            g,
-            t_len,
-        );
-        let flow_rule = view.queue_flow_from_next_step() >= g;
-        if !queue_rule && !flow_rule {
-            return Decision::none();
-        }
-
-        // One calibration per decide iteration; the engine re-invokes us,
-        // which realizes the pseudocode's `while` loop.
-        let m = view.next_rr_machine;
-        let quota = Self::reserve_quota(g, view.cal_len);
-        let slots = view.machines[m.index()].plannable_slots_in(
-            view.t,
-            view.t + view.cal_len,
-            quota.min(view.waiting.len()),
-        );
-        // Waiting is already in release order; pair jobs with planned slots.
-        let reserve: Vec<Reservation> = view
-            .waiting
-            .iter()
-            .zip(slots)
-            .map(|(job, slot)| Reservation {
-                job: job.id,
-                machine: m,
-                slot,
-            })
-            .collect();
-        if reserve.is_empty() {
-            // The round-robin target has no free slot in [t, t+T) (possible
-            // only under heavy interval overlap). Calibrating would make no
-            // progress; stop this step and let time advance.
-            return Decision::none();
-        }
-        Decision {
-            calibrate: 1,
-            reserve,
-            reason: Some(if queue_rule {
-                reason::QUEUE
-            } else {
-                reason::FLOW
-            }),
-        }
+        RULES.decide_late(view)
     }
 
     fn next_wake(&self, view: &EngineView) -> Option<Time> {
-        if view.waiting.is_empty() {
-            return None;
-        }
-        earliest_flow_crossing(view.waiting, view.cal_cost)
+        RULES.wake(view)
     }
 }
 
@@ -129,16 +72,23 @@ impl OnlineScheduler for Alg3 {
 /// Observation 2.1 over the same calibration times. The calibration cost is
 /// identical; the flow can only improve.
 pub fn run_alg3_practical(instance: &Instance, cal_cost: Cost) -> RunResult {
-    let spec = run_online(instance, cal_cost, &mut Alg3::new());
+    run_practical(instance, cal_cost, &mut Alg3::new())
+}
+
+/// Runs `scheduler` for its calibration times and re-assigns the jobs over
+/// them with Observation 2.1 (heaviest first).
+pub(crate) fn run_practical(
+    instance: &Instance,
+    cal_cost: Cost,
+    scheduler: &mut dyn OnlineScheduler,
+) -> RunResult {
+    let spec = run_online(instance, cal_cost, scheduler);
     let times = spec.schedule.calibration_times();
-    let schedule =
-        match assign_greedy_with_policy(instance, &times, PriorityPolicy::HighestWeightFirst) {
-            Ok(s) => s,
-            // The spec run scheduled every job under these calibrations, so
-            // Observation 2.1 can too; if the assigner ever disagrees, the
-            // spec schedule is still a correct (just unoptimized) answer.
-            Err(_) => spec.schedule.clone(),
-        };
+    // The spec run scheduled every job under these calibrations, so
+    // Observation 2.1 can too; if the assigner ever disagrees, the spec
+    // schedule is still a correct (just unoptimized) answer.
+    let schedule = assign_greedy_with_policy(instance, &times, PriorityPolicy::HighestWeightFirst)
+        .unwrap_or(spec.schedule);
     let flow = schedule.total_weighted_flow(instance);
     let calibrations = schedule.calibration_count();
     RunResult {

@@ -1,10 +1,26 @@
 //! Naive online baselines — comparison points for the benches, showing why
 //! the paper's threshold rules matter.
 
-use calib_core::{earliest_flow_crossing, PriorityPolicy, Time};
+use calib_core::{PriorityPolicy, Time};
 
 use crate::engine::EngineView;
+use crate::rules::Rules;
 use crate::scheduler::{Decision, OnlineScheduler};
+use crate::tunable::Ratio;
+
+/// [`CalibrateImmediately`]'s trace label.
+pub(crate) const NAIVE_NOW: &str = "naive:now";
+
+/// [`SkiRentalBatch`]'s one rule: `f ≥ G`, with `f` summed in release
+/// order.
+pub(crate) const SKI_RULES: Rules = Rules {
+    size: None,
+    full_queue: false,
+    flow: Some(Ratio::ONE),
+    order: PriorityPolicy::EarliestReleaseFirst,
+    immediate: None,
+    labels: [None, None, Some("ski:flow>=G"), None],
+};
 
 /// Calibrates the moment any job is waiting and no machine is calibrated at
 /// the current step. Optimizes flow, ignores calibration cost — the "rent
@@ -36,7 +52,7 @@ impl OnlineScheduler for CalibrateImmediately {
             Decision {
                 calibrate: u32::try_from(need).unwrap_or(u32::MAX),
                 reserve: Vec::new(),
-                reason: Some("naive:now"),
+                reason: Some(NAIVE_NOW),
             }
         } else {
             Decision::none()
@@ -60,21 +76,11 @@ impl OnlineScheduler for SkiRentalBatch {
     }
 
     fn decide_early(&mut self, view: &EngineView) -> Decision {
-        if view.any_calibrated() || view.waiting.is_empty() {
-            return Decision::none();
-        }
-        if view.queue_flow_from_next_step() >= view.cal_cost {
-            Decision::calibrate("ski:flow>=G")
-        } else {
-            Decision::none()
-        }
+        SKI_RULES.decide_early(view)
     }
 
     fn next_wake(&self, view: &EngineView) -> Option<Time> {
-        if view.waiting.is_empty() {
-            return None;
-        }
-        earliest_flow_crossing(view.waiting, view.cal_cost)
+        SKI_RULES.wake(view)
     }
 }
 

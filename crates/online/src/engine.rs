@@ -31,11 +31,13 @@
 //! packed append-only log (`history.rs`) from which snapshots, schedules
 //! and the final outcome are replayed.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use calib_core::obs::{Event, NoopProbe, Probe};
 use calib_core::{
-    check_schedule, Assignment, Calibration, Cost, Instance, Job, JobId, MachineId, Schedule, Time,
+    check_schedule, Assignment, Calibration, Cost, Instance, Job, JobId, MachineId, PriorityPolicy,
+    Schedule, Time,
 };
 
 use crate::history::{Entry, History, Start};
@@ -229,10 +231,18 @@ impl EngineView<'_> {
         self.waiting.iter().map(|j| Cost::from(j.weight)).sum()
     }
 
-    /// The paper's `f`: flow cost of scheduling all waiting jobs
-    /// back-to-back starting at `t + 1`, in release order.
-    pub fn queue_flow_from_next_step(&self) -> Cost {
-        calib_core::flow_if_run_consecutively(self.waiting, self.t + 1)
+    /// The waiting queue in `policy` order. For
+    /// [`PriorityPolicy::EarliestReleaseFirst`] this borrows `waiting`
+    /// without a copy: releases only enter the queue in `(release, id)`
+    /// order, because `pending` is sorted and a submission must be released
+    /// after the clock. Any other policy copies the queue and sorts it.
+    pub(crate) fn queue_in(&self, policy: PriorityPolicy) -> Cow<'_, [Job]> {
+        if policy == PriorityPolicy::EarliestReleaseFirst {
+            return Cow::Borrowed(self.waiting);
+        }
+        let mut queue = self.waiting.to_vec();
+        queue.sort_by_key(|j| policy.sort_key(j));
+        Cow::Owned(queue)
     }
 
     /// The most recent interval (by calibration order), if any.
@@ -544,32 +554,7 @@ pub struct EngineSnapshot {
 /// scheduling), so an unknown one degrades to the generic `"calibrate"`
 /// instead of failing the restore.
 fn intern_reason(label: &str) -> &'static str {
-    const KNOWN: &[&str] = &[
-        "calibrate",
-        "naive:now",
-        "ski:flow>=G",
-        crate::alg1::reason::QUEUE,
-        crate::alg1::reason::FLOW,
-        crate::alg1::reason::IMMEDIATE,
-        crate::alg2::reason::WEIGHT,
-        crate::alg2::reason::FULL_QUEUE,
-        crate::alg2::reason::FLOW,
-        crate::alg3::reason::QUEUE,
-        crate::alg3::reason::FLOW,
-        crate::weighted_multi::reason::WEIGHT,
-        crate::weighted_multi::reason::FULL_QUEUE,
-        crate::weighted_multi::reason::FLOW,
-        crate::tunable::reason::WEIGHT,
-        crate::tunable::reason::FULL_QUEUE,
-        crate::tunable::reason::FLOW,
-        crate::tunable::reason::IMMEDIATE,
-        crate::randomized::reason::QUEUE,
-        crate::randomized::reason::FLOW,
-        crate::randomized::reason::IMMEDIATE,
-    ];
-    KNOWN
-        .iter()
-        .copied()
+    crate::rules::known_labels()
         .find(|k| *k == label)
         .unwrap_or("calibrate")
 }
@@ -1391,7 +1376,7 @@ impl<P: Probe> EngineSession<P> {
 
     /// Serves slot `t` on every machine: a reservation if present, else (when
     /// `auto` is set) the best waiting job under the policy.
-    fn materialize(&mut self, t: Time, auto: Option<calib_core::PriorityPolicy>) {
+    fn materialize(&mut self, t: Time, auto: Option<PriorityPolicy>) {
         for m in 0..self.machines.len() {
             if !self.machines[m].covers(t) || t < self.machines[m].used_until {
                 continue;
@@ -1449,7 +1434,7 @@ impl<P: Probe> EngineSession<P> {
         }
     }
 
-    fn pop_waiting(&mut self, policy: calib_core::PriorityPolicy) -> Option<Job> {
+    fn pop_waiting(&mut self, policy: PriorityPolicy) -> Option<Job> {
         // Small queues in practice; a linear argmin keeps `waiting` a plain
         // release-ordered Vec for the scheduler view.
         let best = self

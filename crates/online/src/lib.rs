@@ -14,6 +14,9 @@
 //!
 //! All algorithms run on the event-driven [`engine`], which owns the clock
 //! and the job-to-slot assignment and validates every produced schedule.
+//! The threshold schedulers are presets of one crate-private trigger
+//! evaluator, and read the waiting queue through one engine helper, the
+//! only place the queue is copied or sorted.
 //!
 //! ```
 //! use calib_core::InstanceBuilder;
@@ -38,6 +41,7 @@ pub mod engine;
 mod history;
 mod idset;
 pub mod randomized;
+mod rules;
 pub mod scheduler;
 pub mod tunable;
 pub mod weighted_multi;

@@ -18,10 +18,12 @@
 //! Randomness is deterministic in the seed: runs are reproducible and the
 //! engine's skip/no-skip equivalence still holds for a fixed seed.
 
-use calib_core::{earliest_flow_crossing, ge_ratio, lt_ratio, Cost, PriorityPolicy, Time};
+use calib_core::{earliest_flow_crossing, Cost, PriorityPolicy, Time};
 
 use crate::engine::EngineView;
+use crate::rules::{Rules, Size};
 use crate::scheduler::{Decision, OnlineScheduler};
+use reason::{FLOW, IMMEDIATE, QUEUE};
 
 /// Trigger labels.
 pub mod reason {
@@ -32,6 +34,17 @@ pub mod reason {
     /// Immediate calibration after a cheap interval.
     pub const IMMEDIATE: &str = "rand:immediate";
 }
+
+/// Algorithm 1's auxiliary rules, checked after the sampled flow
+/// threshold (summed in release order), which carries the flow label.
+pub(crate) const RULES: Rules = Rules {
+    size: Some(Size::Count),
+    full_queue: false,
+    flow: None,
+    order: PriorityPolicy::EarliestReleaseFirst,
+    immediate: Some(2),
+    labels: [Some(QUEUE), None, Some(FLOW), Some(IMMEDIATE)],
+};
 
 /// A tiny deterministic PRNG (SplitMix64) so the crate needs no `rand`
 /// dependency and runs stay reproducible.
@@ -92,12 +105,13 @@ impl RandomizedSkiRental {
     }
 
     fn threshold(&mut self, g: Cost) -> Cost {
-        if self.current_threshold.is_none() {
-            let x = self.sample_fraction();
-            let th = ((x * g as f64).ceil() as Cost).clamp(1, g.max(1));
-            self.current_threshold = Some(th);
+        if let Some(th) = self.current_threshold {
+            return th;
         }
-        self.current_threshold.expect("just set")
+        let x = self.sample_fraction();
+        let th = ((x * g as f64).ceil() as Cost).clamp(1, g.max(1));
+        self.current_threshold = Some(th);
+        th
     }
 }
 
@@ -111,47 +125,31 @@ impl OnlineScheduler for RandomizedSkiRental {
     }
 
     fn auto_policy(&self) -> PriorityPolicy {
-        PriorityPolicy::EarliestReleaseFirst
+        RULES.order
     }
 
     fn decide_early(&mut self, view: &EngineView) -> Decision {
         if view.any_calibrated() || view.waiting.is_empty() {
             return Decision::none();
         }
-        let g = view.cal_cost;
-        let t_len = view.cal_len as u128;
-        let threshold = self.threshold(g);
-
-        if view.queue_flow_from_next_step() >= threshold {
+        let threshold = self.threshold(view.cal_cost);
+        let label = if RULES.queue_flow(view) >= threshold {
+            Some(FLOW)
+        } else {
+            self.keep_alg1_rules.then(|| RULES.fired(view)).flatten()
+        };
+        if label.is_some() {
             self.current_threshold = None; // resample for the next wait
-            return Decision::calibrate(reason::FLOW);
         }
-        if self.keep_alg1_rules {
-            if ge_ratio(view.waiting.len() as u128, g, t_len) {
-                self.current_threshold = None;
-                return Decision::calibrate(reason::QUEUE);
-            }
-            if view.arrived_now {
-                if let Some(last) = view.last_interval() {
-                    if lt_ratio(last.total_flow(), g, 2) {
-                        self.current_threshold = None;
-                        return Decision::calibrate(reason::IMMEDIATE);
-                    }
-                }
-            }
-        }
-        Decision::none()
+        label.map_or_else(Decision::none, Decision::calibrate)
     }
 
     fn next_wake(&self, view: &EngineView) -> Option<Time> {
-        if view.waiting.is_empty() {
-            return None;
-        }
         // Conservative: wake at the crossing of the *smallest possible*
         // threshold already sampled (or 1 if none yet). The engine maxes
         // with t+1, so at worst we take a few extra single steps.
         let threshold = self.current_threshold.unwrap_or(1);
-        earliest_flow_crossing(view.waiting, threshold)
+        earliest_flow_crossing(&view.queue_in(RULES.order), threshold)
     }
 }
 

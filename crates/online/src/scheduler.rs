@@ -21,7 +21,7 @@
 //! until the scheduler returns an empty decision), which expresses
 //! Algorithm 3's `while` loop directly.
 
-use calib_core::{Cost, Job, JobId, MachineId, PriorityPolicy, Time};
+use calib_core::{JobId, MachineId, PriorityPolicy, Time};
 
 use crate::engine::EngineView;
 
@@ -102,11 +102,4 @@ pub trait OnlineScheduler {
     fn next_wake(&self, _view: &EngineView) -> Option<Time> {
         None
     }
-}
-
-/// A waiting job's full flow if it started at `slot` (helper shared by the
-/// concrete algorithms).
-#[inline]
-pub fn job_flow_at(job: &Job, slot: Time) -> Cost {
-    job.flow_if_started(slot)
 }

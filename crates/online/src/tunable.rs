@@ -10,10 +10,12 @@
 //! All threshold tests stay in exact integer arithmetic: a multiplier
 //! `num/den` turns `x ≥ G/T` into `x · T · den ≥ num · G`.
 
-use calib_core::{earliest_flow_crossing, Cost, PriorityPolicy, Time};
+use calib_core::{Cost, PriorityPolicy, Time};
 
 use crate::engine::EngineView;
+use crate::rules::{Labels, Rules, Size};
 use crate::scheduler::{Decision, OnlineScheduler};
+use reason::{FLOW, FULL_QUEUE, IMMEDIATE, WEIGHT};
 
 /// An exact rational multiplier `num/den`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +39,7 @@ impl Ratio {
     /// `value ≥ self · bound`, exactly.
     #[inline]
     pub fn le_scaled(&self, value: Cost, bound: Cost) -> bool {
-        value * self.den as Cost >= bound * self.num as Cost
+        value * Cost::from(self.den) >= bound * Cost::from(self.num)
     }
 
     /// The multiplier as a float (display only; decisions stay integral).
@@ -116,10 +118,18 @@ impl TunableScheduler {
         }
     }
 
-    fn queue_flow(&self, view: &EngineView) -> Cost {
-        let mut q = view.waiting.to_vec();
-        q.sort_by_key(|j| self.policy.sort_key(j));
-        calib_core::flow_if_run_consecutively(&q, view.t + 1)
+    /// `Σ w(Q) · T · den ≥ num · G`, the full-queue rule, the scaled flow
+    /// rule (`f` in service order) and the immediate rule, as configured.
+    fn rules(&self) -> Rules {
+        let th = &self.thresholds;
+        Rules {
+            size: Some(Size::Weight(th.weight_factor)),
+            full_queue: th.full_queue_rule,
+            flow: Some(th.flow_factor),
+            order: self.policy,
+            immediate: th.immediate_divisor,
+            labels: LABELS,
+        }
     }
 }
 
@@ -134,6 +144,9 @@ pub mod reason {
     /// Immediate-calibration rule fired.
     pub const IMMEDIATE: &str = "tunable:immediate";
 }
+
+/// The labels above, by rule.
+pub(crate) const LABELS: Labels = [Some(WEIGHT), Some(FULL_QUEUE), Some(FLOW), Some(IMMEDIATE)];
 
 impl OnlineScheduler for TunableScheduler {
     fn name(&self) -> String {
@@ -150,48 +163,11 @@ impl OnlineScheduler for TunableScheduler {
             1,
             "tunable scheduler is single-machine"
         );
-        if view.any_calibrated() || view.waiting.is_empty() {
-            return Decision::none();
-        }
-        let g = view.cal_cost;
-        let th = &self.thresholds;
-
-        // Σ w(Q) ≥ factor · G/T  ⇔  Σw · T · den ≥ num · G.
-        let scaled_weight = view.queue_weight() * view.cal_len as Cost;
-        if th.weight_factor.le_scaled(scaled_weight, g) {
-            return Decision::calibrate(reason::WEIGHT);
-        }
-        if th.full_queue_rule && view.waiting.len() as Time >= view.cal_len {
-            return Decision::calibrate(reason::FULL_QUEUE);
-        }
-        if th.flow_factor.le_scaled(self.queue_flow(view), g) {
-            return Decision::calibrate(reason::FLOW);
-        }
-        if let Some(div) = th.immediate_divisor {
-            if view.arrived_now {
-                if let Some(last) = view.last_interval() {
-                    if last.total_flow() * (div as Cost) < g {
-                        return Decision::calibrate(reason::IMMEDIATE);
-                    }
-                }
-            }
-        }
-        Decision::none()
+        self.rules().decide_early(view)
     }
 
     fn next_wake(&self, view: &EngineView) -> Option<Time> {
-        if view.waiting.is_empty() {
-            return None;
-        }
-        // Solve f ≥ (num/den)·G exactly: f·den ≥ num·G. The queue flow in
-        // policy order has the same slope as release order, so crossing
-        // computation over the scaled threshold is exact when den divides…
-        // keep it simple and exact: threshold' = ceil(num·G / den).
-        let th = self.thresholds.flow_factor;
-        let threshold = (th.num as Cost * view.cal_cost).div_ceil(th.den as Cost);
-        let mut q = view.waiting.to_vec();
-        q.sort_by_key(|j| self.policy.sort_key(j));
-        earliest_flow_crossing(&q, threshold)
+        self.rules().wake(view)
     }
 }
 

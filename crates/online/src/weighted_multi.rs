@@ -8,10 +8,13 @@
 //! as an empirical heuristic. No competitive guarantee is claimed; the E12
 //! experiment measures it against the (weighted) Figure 1 LP lower bound.
 
-use calib_core::{earliest_flow_crossing, ge_ratio, Cost, PriorityPolicy, Time};
+use calib_core::{Cost, Instance, PriorityPolicy, Time};
 
-use crate::engine::EngineView;
-use crate::scheduler::{Decision, OnlineScheduler, Reservation};
+use crate::engine::{EngineView, RunResult};
+use crate::rules::{Rules, Size};
+use crate::scheduler::{Decision, OnlineScheduler};
+use crate::tunable::Ratio;
+use reason::{FLOW, FULL_QUEUE, WEIGHT};
 
 /// Trigger labels.
 pub mod reason {
@@ -23,6 +26,19 @@ pub mod reason {
     pub const FULL_QUEUE: &str = "wmulti:|Q|=T";
 }
 
+/// Algorithm 2's thresholds (`Σ w(Q) ≥ G/T`, `|Q| ≥ T`, `f ≥ G`) in
+/// Observation 2.1 order: `f` is summed, and the *heaviest* waiting jobs
+/// are reserved into the earliest slots of the new interval, heaviest
+/// first.
+pub(crate) const RULES: Rules = Rules {
+    size: Some(Size::Weight(Ratio::ONE)),
+    full_queue: true,
+    flow: Some(Ratio::ONE),
+    order: PriorityPolicy::HighestWeightFirst,
+    immediate: None,
+    labels: [Some(WEIGHT), Some(FULL_QUEUE), Some(FLOW), None],
+};
+
 /// Weighted multi-machine heuristic (extension; see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct WeightedMulti;
@@ -32,17 +48,6 @@ impl WeightedMulti {
     pub fn new() -> Self {
         WeightedMulti
     }
-
-    /// Jobs reserved per fresh interval, as in Algorithm 3.
-    fn reserve_quota(g: Cost, t: Time) -> usize {
-        ((g / t as Cost) as usize).max(1)
-    }
-
-    fn queue_flow(view: &EngineView) -> Cost {
-        let mut q = view.waiting.to_vec();
-        q.sort_by_key(|j| PriorityPolicy::HighestWeightFirst.sort_key(j));
-        calib_core::flow_if_run_consecutively(&q, view.t + 1)
-    }
 }
 
 impl OnlineScheduler for WeightedMulti {
@@ -51,67 +56,23 @@ impl OnlineScheduler for WeightedMulti {
     }
 
     fn auto_policy(&self) -> PriorityPolicy {
-        PriorityPolicy::HighestWeightFirst
+        RULES.order
     }
 
     fn decide_late(&mut self, view: &EngineView) -> Decision {
-        if view.waiting.is_empty() {
-            return Decision::none();
-        }
-        let g = view.cal_cost;
-        let t_len = view.cal_len as u128;
-
-        let weight_rule = ge_ratio(view.queue_weight(), g, t_len);
-        let full_queue = view.waiting.len() as Time >= view.cal_len;
-        let flow_rule = Self::queue_flow(view) >= g;
-        if !weight_rule && !full_queue && !flow_rule {
-            return Decision::none();
-        }
-
-        let m = view.next_rr_machine;
-        let quota = Self::reserve_quota(g, view.cal_len);
-        let slots = view.machines[m.index()].plannable_slots_in(
-            view.t,
-            view.t + view.cal_len,
-            quota.min(view.waiting.len()),
-        );
-        // Reserve the *heaviest* waiting jobs (Observation 2.1 order) into
-        // the earliest slots of the new interval.
-        let mut jobs = view.waiting.to_vec();
-        jobs.sort_by_key(|j| PriorityPolicy::HighestWeightFirst.sort_key(j));
-        let reserve: Vec<Reservation> = jobs
-            .iter()
-            .zip(slots)
-            .map(|(job, slot)| Reservation {
-                job: job.id,
-                machine: m,
-                slot,
-            })
-            .collect();
-        if reserve.is_empty() {
-            return Decision::none();
-        }
-        Decision {
-            calibrate: 1,
-            reserve,
-            reason: Some(if weight_rule {
-                reason::WEIGHT
-            } else if full_queue {
-                reason::FULL_QUEUE
-            } else {
-                reason::FLOW
-            }),
-        }
+        RULES.decide_late(view)
     }
 
     fn next_wake(&self, view: &EngineView) -> Option<Time> {
-        if view.waiting.is_empty() {
-            return None;
-        }
-        let mut q = view.waiting.to_vec();
-        q.sort_by_key(|j| PriorityPolicy::HighestWeightFirst.sort_key(j));
-        earliest_flow_crossing(&q, view.cal_cost)
+        RULES.wake(view)
     }
+}
+
+/// The Observation 2.1 "practical" variant of [`WeightedMulti`], mirroring
+/// [`crate::alg3::run_alg3_practical`]: keep the heuristic's calibration
+/// times, re-assign jobs optimally.
+pub fn run_weighted_multi_practical(instance: &Instance, cal_cost: Cost) -> RunResult {
+    crate::alg3::run_practical(instance, cal_cost, &mut WeightedMulti::new())
 }
 
 #[cfg(test)]
@@ -200,30 +161,6 @@ mod tests {
             assert!(wm.cost <= 3 * a2.cost, "G={g}: {} vs {}", wm.cost, a2.cost);
             assert!(a2.cost <= 3 * wm.cost, "G={g}");
         }
-    }
-}
-
-/// The Observation 2.1 "practical" variant of [`WeightedMulti`], mirroring
-/// [`crate::alg3::run_alg3_practical`]: keep the heuristic's calibration
-/// times, re-assign jobs optimally.
-pub fn run_weighted_multi_practical(
-    instance: &calib_core::Instance,
-    cal_cost: Cost,
-) -> crate::engine::RunResult {
-    use calib_core::assign_greedy_with_policy;
-    let spec = crate::engine::run_online(instance, cal_cost, &mut WeightedMulti::new());
-    let times = spec.schedule.calibration_times();
-    let schedule = assign_greedy_with_policy(instance, &times, PriorityPolicy::HighestWeightFirst)
-        .expect("spec-mode calibrations scheduled every job");
-    let flow = schedule.total_weighted_flow(instance);
-    let calibrations = schedule.calibration_count();
-    crate::engine::RunResult {
-        cost: cal_cost * calibrations as Cost + flow,
-        flow,
-        calibrations,
-        schedule,
-        intervals: spec.intervals,
-        trace: spec.trace,
     }
 }
 

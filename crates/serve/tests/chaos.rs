@@ -10,7 +10,6 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,22 +23,8 @@ use calib_serve::{
     RetryClock, ServerConfig, SystemClock,
 };
 
-/// A unique, self-cleaning scratch directory.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let path = std::env::temp_dir().join(format!("calib-chaos-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&path).expect("create temp dir");
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
+mod support;
+use support::{read_reply, send_line, spawn_daemon, spawn_daemon_args, TempDir};
 
 fn spawn_server(
     config: ServerConfig,
@@ -276,69 +261,6 @@ fn reconnecting_loadgen_is_exact_under_injected_faults() {
     let report = server.join().expect("server thread");
     assert_eq!(report.accountings.len(), 3, "every tenant accounted for");
     assert!(report.all_ok(), "accountings: {:?}", report.accountings);
-}
-
-/// Reads the `{"type":"listening","addr":...}` line a daemon prints.
-fn daemon_addr(child: &mut std::process::Child) -> String {
-    let stdout = child.stdout.as_mut().expect("daemon stdout");
-    let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line).expect("banner");
-    let v = Json::parse(line.trim()).expect("banner json");
-    assert_eq!(v.get("type").and_then(Json::as_str), Some("listening"));
-    v.get("addr")
-        .and_then(Json::as_str)
-        .expect("listening addr")
-        .to_string()
-}
-
-/// A spawned `calib-serve` daemon, killed and reaped when dropped so a
-/// failing test leaves no daemon running. Tests that expect an idle exit
-/// still `wait()` on it first.
-struct Daemon(std::process::Child);
-
-impl std::ops::Deref for Daemon {
-    type Target = std::process::Child;
-    fn deref(&self) -> &std::process::Child {
-        &self.0
-    }
-}
-
-impl std::ops::DerefMut for Daemon {
-    fn deref_mut(&mut self) -> &mut std::process::Child {
-        &mut self.0
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        self.0.kill().ok();
-        self.0.wait().ok();
-    }
-}
-
-fn spawn_daemon_args(journal_dir: &std::path::Path, extra: &[&str]) -> (Daemon, String) {
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_calib-serve"))
-        .args([
-            "--listen",
-            "127.0.0.1:0",
-            "--journal-dir",
-            journal_dir.to_str().expect("utf8 dir"),
-            "--fsync",
-            "tick",
-            "--read-timeout-ms",
-            "0",
-        ])
-        .args(extra)
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn calib-serve");
-    let addr = daemon_addr(&mut child);
-    (Daemon(child), addr)
-}
-
-fn spawn_daemon(journal_dir: &std::path::Path) -> (Daemon, String) {
-    spawn_daemon_args(journal_dir, &[])
 }
 
 /// The crash-recovery theorem, with a real process and a real `kill -9`:
@@ -780,20 +702,6 @@ fn shedding_under_inflight_budget_recovers_exactly() {
         client_reconnects > 0,
         "clients reconnected through the shed disconnects"
     );
-}
-
-fn send_line(stream: &mut TcpStream, line: &str) {
-    stream
-        .write_all(format!("{line}\n").as_bytes())
-        .expect("write");
-    stream.flush().expect("flush");
-}
-
-fn read_reply(reader: &mut BufReader<TcpStream>) -> Json {
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read reply");
-    assert!(!line.is_empty(), "server closed unexpectedly");
-    Json::parse(line.trim()).expect("reply json")
 }
 
 /// `ping` answers inline with health counters even before any hello, and

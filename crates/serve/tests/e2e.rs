@@ -7,7 +7,7 @@
 //! schedule* — same JSON bytes — as `run_online` on the identical instance,
 //! for every algorithm.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 
@@ -16,6 +16,9 @@ use calib_core::{check_schedule, Assignment, Calibration, Instance, Schedule};
 use calib_difftest::{gen_case_sized, GenParams};
 use calib_online::run_online;
 use calib_serve::{serve, serve_stream, Algorithm, ServeReport, ServerConfig};
+
+mod support;
+use support::{read_reply, send_line};
 
 /// Drives `serve_stream` with scripted request lines; returns parsed
 /// replies plus the final report.
@@ -182,21 +185,6 @@ fn daemon_schedule_is_byte_identical_to_batch() {
             );
         }
     }
-}
-
-fn send_line(stream: &mut TcpStream, line: &str) {
-    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
-    stream.flush().unwrap();
-}
-
-fn read_reply(reader: &mut BufReader<TcpStream>) -> Json {
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert!(
-        !line.is_empty(),
-        "server closed the connection unexpectedly"
-    );
-    Json::parse(line.trim()).unwrap()
 }
 
 /// Satellite 2, TCP flavor: a client that sends malformed JSON, duplicate

@@ -8,7 +8,9 @@
 #![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader, Write};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::process::{ChildStdin, ChildStdout, Command, Stdio};
+
+mod support;
 
 /// Sessions parked between the two VmRSS readings.
 const PARKED: usize = 64;
@@ -17,8 +19,9 @@ const JOBS: usize = 1_000;
 /// The bound on VmRSS growth per parked session.
 const MAX_KIB_PER_SESSION: u64 = 24;
 
+/// A `calib-serve --stdin` child, killed when dropped.
 struct Daemon {
-    child: Child,
+    child: support::Daemon,
     stdin: ChildStdin,
     stdout: BufReader<ChildStdout>,
 }
@@ -35,7 +38,7 @@ impl Daemon {
         let stdin = child.stdin.take().expect("stdin");
         let stdout = BufReader::new(child.stdout.take().expect("stdout"));
         Daemon {
-            child,
+            child: support::Daemon(child),
             stdin,
             stdout,
         }
@@ -94,13 +97,6 @@ impl Daemon {
             "{}",
             &drained[..drained.len().min(200)]
         );
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
     }
 }
 

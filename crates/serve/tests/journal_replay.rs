@@ -11,7 +11,6 @@
 //! final state.
 
 use std::io::Write;
-use std::path::PathBuf;
 
 use calib_core::json::ToJson;
 use calib_difftest::{gen_case_sized, GenParams};
@@ -22,23 +21,8 @@ use calib_serve::{
     JournalRecord, JournalWriter, TenantConfig, TenantSession,
 };
 
-/// A unique, self-cleaning scratch directory.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let path =
-            std::env::temp_dir().join(format!("calib-journal-replay-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&path).expect("create temp dir");
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
+mod support;
+use support::TempDir;
 
 /// The algorithm sweep with generator bounds matched to each contract.
 fn families() -> Vec<(Algorithm, GenParams)> {

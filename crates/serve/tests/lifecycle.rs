@@ -14,7 +14,7 @@
 //! a single total order.
 
 use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -25,24 +25,8 @@ use calib_serve::{
     ServerConfig, TenantConfig, TenantSession,
 };
 
-/// A unique, self-cleaning scratch directory.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let path =
-            std::env::temp_dir().join(format!("calib-lifecycle-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).expect("create temp dir");
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
+mod support;
+use support::TempDir;
 
 /// A writer whose bytes stay readable after the server consumed it.
 #[derive(Clone, Default)]

@@ -9,7 +9,7 @@
 //! per-tenant `flow`/`cost` totals are the u128 values from the drained
 //! accounting, not approximations.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -18,20 +18,8 @@ use calib_core::json::{Json, ToJson};
 use calib_difftest::{gen_case_sized, GenParams};
 use calib_serve::{serve, serve_stream, LineSink, ServerConfig};
 
-fn send_line(stream: &mut TcpStream, line: &str) {
-    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
-    stream.flush().unwrap();
-}
-
-fn read_reply(reader: &mut BufReader<TcpStream>) -> Json {
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert!(
-        !line.is_empty(),
-        "server closed the connection unexpectedly"
-    );
-    Json::parse(line.trim()).unwrap()
-}
+mod support;
+use support::{read_reply, send_line};
 
 fn decision_count(reply: &Json) -> u64 {
     let reply = reply.get("decisions").unwrap_or(reply);

@@ -10,7 +10,6 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::time::Duration;
 
 use calib_core::json::{Json, ToJson};
@@ -20,85 +19,8 @@ use calib_online::run_online;
 use calib_router::{run_router, Ring, RouterConfig};
 use calib_serve::{run_plan, Algorithm, Backoff, ClientConfig, PlanStep, SystemClock};
 
-/// A unique, self-cleaning scratch directory.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let path = std::env::temp_dir().join(format!("calib-router-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&path).expect("create temp dir");
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
-/// Reads the `{"type":"listening","addr":...}` banner a daemon prints.
-fn daemon_addr(child: &mut std::process::Child) -> String {
-    let stdout = child.stdout.as_mut().expect("daemon stdout");
-    let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line).expect("banner");
-    let v = Json::parse(line.trim()).expect("banner json");
-    assert_eq!(v.get("type").and_then(Json::as_str), Some("listening"));
-    v.get("addr")
-        .and_then(Json::as_str)
-        .expect("listening addr")
-        .to_string()
-}
-
-/// A spawned `calib-serve` shard, killed and reaped when dropped so a
-/// failing test leaves no daemon running. Tests that expect an idle exit
-/// still `wait()` on it first.
-struct Daemon(std::process::Child);
-
-impl std::ops::Deref for Daemon {
-    type Target = std::process::Child;
-    fn deref(&self) -> &std::process::Child {
-        &self.0
-    }
-}
-
-impl std::ops::DerefMut for Daemon {
-    fn deref_mut(&mut self) -> &mut std::process::Child {
-        &mut self.0
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        self.0.kill().ok();
-        self.0.wait().ok();
-    }
-}
-
-fn spawn_daemon_args(journal_dir: &std::path::Path, extra: &[&str]) -> (Daemon, String) {
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_calib-serve"))
-        .args([
-            "--listen",
-            "127.0.0.1:0",
-            "--journal-dir",
-            journal_dir.to_str().expect("utf8 dir"),
-            "--fsync",
-            "tick",
-            "--read-timeout-ms",
-            "0",
-        ])
-        .args(extra)
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn calib-serve");
-    let addr = daemon_addr(&mut child);
-    (Daemon(child), addr)
-}
-
-fn spawn_daemon(journal_dir: &std::path::Path) -> (Daemon, String) {
-    spawn_daemon_args(journal_dir, &[])
-}
+mod support;
+use support::{spawn_daemon, spawn_daemon_args, TempDir};
 
 /// Starts an in-process router fronting `shards`. `--run-forever`
 /// semantics: the test's phased clients would otherwise trip idle exit
