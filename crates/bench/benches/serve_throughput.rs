@@ -8,6 +8,9 @@
 //!   batch loop, just re-entrant.
 //! * `protocol_parse` / `protocol_serialize` — wire-format costs per
 //!   message, on a representative `arrive` line.
+//! * `json_parse_tick` / `json_parse_decisions_reply` — `Json::parse`
+//!   alone on the two lines a chatty tenant exchanges per step: a ~75 B
+//!   `tick` request and the ~170 B `decisions` reply it gets back.
 //! * `serve_stream_session` — a full in-process daemon pass (hello →
 //!   arrive/tick per release → drain → bye) through `serve_stream`, the
 //!   same code path TCP connections use minus the socket.
@@ -29,11 +32,11 @@
 
 use calib_bench::harness::Bench;
 use calib_core::json::{Json, ToJson};
-use calib_core::{Instance, Job};
+use calib_core::{Assignment, Calibration, Instance, Job, JobId, MachineId};
 use calib_difftest::{gen_case_sized, GenParams};
 use calib_online::{run_online, Alg2, EngineConfig, EngineSession};
 use calib_serve::{
-    serve_stream, AdmitConfig, Algorithm, FsyncPolicy, LineSink, Request, ServerConfig,
+    serve_stream, AdmitConfig, Algorithm, FsyncPolicy, LineSink, Reply, Request, ServerConfig,
 };
 
 /// The daemon's arrival pattern: jobs grouped by release, ascending.
@@ -147,6 +150,35 @@ fn main() {
 
     let parsed = Json::parse(&arrive_line).expect("line is valid");
     b.bench("protocol_serialize", || parsed.to_string_compact().len());
+
+    let tick_line = Json::obj([
+        ("type", "tick".to_json()),
+        ("tenant", "chatty-journaled-t5".to_json()),
+        ("now", 1_048_576i64.to_json()),
+        ("seq", 40_961u64.to_json()),
+    ])
+    .to_string_compact();
+    b.bench("json_parse_tick", || {
+        Json::parse(&tick_line)
+            .expect("line is valid")
+            .get("now")
+            .is_some()
+    });
+    let decisions_reply = Reply::Decisions {
+        tenant: "chatty-journaled-t5".to_string(),
+        now: Some(1_048_576),
+        calibrations: vec![Calibration::new(0, 1_048_571)],
+        starts: vec![Assignment::new(JobId(4_097), 1_048_576, MachineId(0))],
+        idle: false,
+        seq: Some(40_961),
+    }
+    .to_line();
+    b.bench("json_parse_decisions_reply", || {
+        Json::parse(decisions_reply.trim_end())
+            .expect("line is valid")
+            .get("starts")
+            .is_some()
+    });
 
     let script = transcript(instance, case.cal_cost, &groups);
     b.bench("serve_stream_session", || {

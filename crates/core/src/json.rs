@@ -14,8 +14,27 @@
 //! `i128`/`u128` variants (the workspace's `Cost` type is `u128`, far beyond
 //! `f64`'s 53-bit exactness), and floats are only used when the text form
 //! contains a fraction or exponent.
+//!
+//! This is the wire, journal and checkpoint codec of `calib-serve` and
+//! `calib-router`, so [`Json::parse`] reads bytes straight off a socket or
+//! a disk and its cost is bounded by the line, whatever the line holds:
+//!
+//! * time is linear in the line's length, apart from the duplicate-key
+//!   check: an object of `k` keys costs O(k) comparisons while it has at
+//!   most 16 keys and O(k log k) beyond that (an ordered set);
+//! * strings are copied one run of plain bytes at a time, and a string
+//!   without escapes is one allocation of its exact length; every array
+//!   and object is one allocation of its exact length;
+//! * arrays and objects nest at most [`MAX_DEPTH`] (128) levels, so the
+//!   recursion cannot exhaust the stack;
+//! * error messages quote at most [`MAX_ECHO_BYTES`] of the input.
+//!
+//! The parser accepts a few inputs strict JSON does not: a `+` after
+//! `\u` (`\u+041`), leading zeros (`01`) and raw control characters
+//! inside strings.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::calibration::Calibration;
@@ -217,11 +236,7 @@ impl Json {
     /// Arrays and objects nested deeper than [`MAX_DEPTH`] are an error,
     /// so no input can exhaust the parsing thread's stack.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
+        let mut p = Parser::new(input);
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -421,14 +436,37 @@ pub fn clip_echo(s: &str) -> String {
 /// a 2 MiB thread stack.
 pub const MAX_DEPTH: usize = 128;
 
+/// Objects up to this many keys find a duplicate by scanning the keys
+/// already parsed. A larger object moves its keys into an ordered set, so
+/// a line of `k` distinct keys costs O(k log k), not O(k²).
+const LINEAR_KEYS: usize = 16;
+
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
+    /// Elements of the arrays currently open, innermost last. A closed
+    /// array moves its own tail into one exactly sized `Vec`.
+    items: Vec<Json>,
+    /// Fields of the objects currently open, innermost last; pre-sized to
+    /// [`LINEAR_KEYS`], more than a wire request has.
+    fields: Vec<(String, Json)>,
 }
 
 impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Self {
+        Parser {
+            src,
+            bytes: src.as_bytes(),
+            pos: 0,
+            depth: 0,
+            items: Vec::new(),
+            fields: Vec::with_capacity(LINEAR_KEYS),
+        }
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             message: message.into(),
@@ -453,7 +491,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(format!("expected `{}`", b as char)))
+            Err(self.err(format!("expected `{}`", char::from(b))))
         }
     }
 
@@ -472,7 +510,7 @@ impl<'a> Parser<'a> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
+            Some(b'"') => self.string().map(|s| Json::Str(s.into_owned())),
             Some(b'[' | b'{') => {
                 if self.depth == MAX_DEPTH {
                     return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
@@ -487,27 +525,28 @@ impl<'a> Parser<'a> {
                 v
             }
             Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
+            Some(c) => Err(self.err(format!("unexpected character `{}`", char::from(c)))),
         }
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
+        let base = self.items.len();
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Json::Arr(self.items.drain(base..).collect()));
                 }
                 _ => return Err(self.err("expected `,` or `]` in array")),
             }
@@ -516,102 +555,155 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
-        let mut pairs: Vec<(String, Json)> = Vec::new();
-        let mut seen: BTreeMap<String, ()> = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(Json::Obj(Vec::new()));
         }
+        let base = self.fields.len();
+        let mut seen = None;
         loop {
             self.skip_ws();
             let key = self.string()?;
-            if seen.insert(key.clone(), ()).is_some() {
+            if self.is_duplicate(base, &mut seen, &key) {
                 return Err(self.err(format!("duplicate object key `{}`", clip_echo(&key))));
             }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let val = self.value()?;
-            pairs.push((key, val));
+            self.fields.push((key.into_owned(), val));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(Json::Obj(self.fields.drain(base..).collect()));
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Is `key` among the keys of the open object whose fields start at
+    /// `base`? `seen` is that object's key set once it outgrows
+    /// [`LINEAR_KEYS`]; a key that is not a duplicate is added to it.
+    /// `key` stays a `Cow` so the set can keep a borrowed key uncopied.
+    #[allow(clippy::ptr_arg)]
+    fn is_duplicate(
+        &self,
+        base: usize,
+        seen: &mut Option<BTreeSet<Cow<'a, str>>>,
+        key: &Cow<'a, str>,
+    ) -> bool {
+        if let Some(set) = seen {
+            return !set.insert(key.clone());
+        }
+        let keys = &self.fields[base..];
+        if keys.iter().any(|(k, _)| *k == **key) {
+            return true;
+        }
+        if keys.len() == LINEAR_KEYS {
+            let mut set: BTreeSet<Cow<'a, str>> =
+                keys.iter().map(|(k, _)| Cow::Owned(k.clone())).collect();
+            set.insert(key.clone());
+            *seen = Some(set);
+        }
+        false
+    }
+
+    /// A string literal. Each run of bytes up to the next `"` or `\` is
+    /// copied whole, and a string with no escape is borrowed from the
+    /// input. Both stop bytes are ASCII, so every run ends on a char
+    /// boundary.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut buf: Option<String> = None;
         loop {
-            let Some(b) = self.peek() else {
+            let start = self.pos;
+            let Some(len) = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.bytes.len();
                 return Err(self.err("unterminated string"));
             };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by this
-                            // module's writer; reject rather than mangle.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("non-scalar \\u escape"))?;
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("unknown escape")),
+            let end = start + len;
+            let run = self
+                .src
+                .get(start..end)
+                .ok_or_else(|| self.err("invalid UTF-8"))?;
+            self.pos = end + 1;
+            if self.bytes[end] == b'"' {
+                return Ok(match buf {
+                    None => Cow::Borrowed(run),
+                    Some(mut s) => {
+                        s.push_str(run);
+                        Cow::Owned(s)
                     }
-                }
-                _ => {
-                    // Recover full UTF-8 sequences from the byte stream.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b).ok_or_else(|| self.err("invalid UTF-8"))?;
-                    let end = start + len;
-                    let s = self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|bs| std::str::from_utf8(bs).ok())
-                        .ok_or_else(|| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                });
             }
+            let out = buf.get_or_insert_with(|| String::with_capacity(run.len() + 8));
+            out.push_str(run);
+            self.escape(out)?;
         }
+    }
+
+    /// Decodes the escape after a `\` onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let Some(esc) = self.peek() else {
+            return Err(self.err("unterminated escape"));
+        };
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => {
+                let hex = self
+                    .bytes
+                    .get(self.pos..self.pos + 4)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+                self.pos += 4;
+                // Surrogate pairs are not produced by this module's
+                // writer; reject rather than mangle.
+                let c = char::from_u32(code).ok_or_else(|| self.err("non-scalar \\u escape"))?;
+                out.push(c);
+            }
+            _ => return Err(self.err("unknown escape")),
+        }
+        Ok(())
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let digits = self.pos;
+        // Up to 19 digits always fit a `u64`; fold them while scanning.
+        let mut folded: u64 = 0;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            folded = folded.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
             self.pos += 1;
+        }
+        if (1..=19).contains(&(self.pos - digits))
+            && !matches!(self.peek(), Some(b'.' | b'e' | b'E'))
+        {
+            return Ok(if negative {
+                Json::Int(-i128::from(folded))
+            } else {
+                Json::UInt(u128::from(folded))
+            });
         }
         let mut is_float = false;
         if self.peek() == Some(b'.') {
@@ -631,13 +723,14 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
+        // Every byte scanned is ASCII, so the range is a char boundary.
+        let text = self.src.get(start..self.pos).unwrap_or_default();
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)
                 .map_err(|_| self.err(format!("invalid number `{}`", clip_echo(text))))
-        } else if let Some(stripped) = text.strip_prefix('-') {
-            if stripped.is_empty() {
+        } else if negative {
+            if self.pos == digits {
                 return Err(self.err("lone `-` is not a number"));
             }
             text.parse::<i128>()
@@ -650,16 +743,6 @@ impl<'a> Parser<'a> {
                 .map(Json::UInt)
                 .map_err(|_| self.err(format!("integer out of range `{}`", clip_echo(text))))
         }
-    }
-}
-
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0x00..=0x7f => Some(1),
-        0xc0..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf7 => Some(4),
-        _ => None,
     }
 }
 
@@ -1073,5 +1156,609 @@ mod tests {
         // machines = 0 violates the Instance invariant.
         let bad = Json::parse(r#"{"jobs":[],"machines":0,"cal_len":2}"#).unwrap();
         assert!(Instance::from_json(&bad).is_err());
+    }
+}
+
+/// The parser [`Json::parse`] replaced, kept only as a test oracle.
+///
+/// It decodes strings one UTF-8 sequence at a time and checks duplicate
+/// keys through a `BTreeMap` of cloned keys. The production parser must
+/// give the same value, or the same error message at the same byte
+/// offset, on every input; the tests below hold it to that.
+#[cfg(test)]
+mod reference {
+    use std::collections::BTreeMap;
+
+    use super::{clip_echo, Json, JsonError, MAX_DEPTH};
+
+    /// The reference parse of one JSON document.
+    pub(super) fn parse(input: &str) -> Result<Json, JsonError> {
+        let mut p = Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        let v = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err("trailing characters after JSON value"));
+        }
+        Ok(v)
+    }
+
+    struct Parser<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+        /// Arrays and objects currently open.
+        depth: usize,
+    }
+
+    impl<'a> Parser<'a> {
+        fn err(&self, message: impl Into<String>) -> JsonError {
+            JsonError {
+                message: message.into(),
+                offset: self.pos,
+            }
+        }
+
+        fn skip_ws(&mut self) {
+            while self.pos < self.bytes.len()
+                && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
+            {
+                self.pos += 1;
+            }
+        }
+
+        fn peek(&self) -> Option<u8> {
+            self.bytes.get(self.pos).copied()
+        }
+
+        fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+            if self.peek() == Some(b) {
+                self.pos += 1;
+                Ok(())
+            } else {
+                Err(self.err(format!("expected `{}`", char::from(b))))
+            }
+        }
+
+        fn literal(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
+            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+                self.pos += lit.len();
+                Ok(v)
+            } else {
+                Err(self.err(format!("expected `{lit}`")))
+            }
+        }
+
+        fn value(&mut self) -> Result<Json, JsonError> {
+            match self.peek() {
+                None => Err(self.err("unexpected end of input")),
+                Some(b'n') => self.literal("null", Json::Null),
+                Some(b't') => self.literal("true", Json::Bool(true)),
+                Some(b'f') => self.literal("false", Json::Bool(false)),
+                Some(b'"') => self.string().map(Json::Str),
+                Some(b'[' | b'{') => {
+                    if self.depth == MAX_DEPTH {
+                        return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                    }
+                    self.depth += 1;
+                    let v = if self.peek() == Some(b'[') {
+                        self.array()
+                    } else {
+                        self.object()
+                    };
+                    self.depth -= 1;
+                    v
+                }
+                Some(b'-' | b'0'..=b'9') => self.number(),
+                Some(c) => Err(self.err(format!("unexpected character `{}`", char::from(c)))),
+            }
+        }
+
+        fn array(&mut self) -> Result<Json, JsonError> {
+            self.expect(b'[')?;
+            let mut items = Vec::new();
+            self.skip_ws();
+            if self.peek() == Some(b']') {
+                self.pos += 1;
+                return Ok(Json::Arr(items));
+            }
+            loop {
+                self.skip_ws();
+                items.push(self.value()?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => {
+                        self.pos += 1;
+                        return Ok(Json::Arr(items));
+                    }
+                    _ => return Err(self.err("expected `,` or `]` in array")),
+                }
+            }
+        }
+
+        fn object(&mut self) -> Result<Json, JsonError> {
+            self.expect(b'{')?;
+            let mut pairs: Vec<(String, Json)> = Vec::new();
+            let mut seen: BTreeMap<String, ()> = BTreeMap::new();
+            self.skip_ws();
+            if self.peek() == Some(b'}') {
+                self.pos += 1;
+                return Ok(Json::Obj(pairs));
+            }
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                if seen.insert(key.clone(), ()).is_some() {
+                    return Err(self.err(format!("duplicate object key `{}`", clip_echo(&key))));
+                }
+                self.skip_ws();
+                self.expect(b':')?;
+                self.skip_ws();
+                let val = self.value()?;
+                pairs.push((key, val));
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => {
+                        self.pos += 1;
+                        return Ok(Json::Obj(pairs));
+                    }
+                    _ => return Err(self.err("expected `,` or `}` in object")),
+                }
+            }
+        }
+
+        fn string(&mut self) -> Result<String, JsonError> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                let Some(b) = self.peek() else {
+                    return Err(self.err("unterminated string"));
+                };
+                self.pos += 1;
+                match b {
+                    b'"' => return Ok(out),
+                    b'\\' => {
+                        let Some(esc) = self.peek() else {
+                            return Err(self.err("unterminated escape"));
+                        };
+                        self.pos += 1;
+                        match esc {
+                            b'"' => out.push('"'),
+                            b'\\' => out.push('\\'),
+                            b'/' => out.push('/'),
+                            b'n' => out.push('\n'),
+                            b'r' => out.push('\r'),
+                            b't' => out.push('\t'),
+                            b'b' => out.push('\u{8}'),
+                            b'f' => out.push('\u{c}'),
+                            b'u' => {
+                                let hex = self
+                                    .bytes
+                                    .get(self.pos..self.pos + 4)
+                                    .and_then(|h| std::str::from_utf8(h).ok())
+                                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                                let code = u32::from_str_radix(hex, 16)
+                                    .map_err(|_| self.err("invalid \\u escape"))?;
+                                self.pos += 4;
+                                // Surrogate pairs are not produced by this
+                                // module's writer; reject rather than mangle.
+                                let c = char::from_u32(code)
+                                    .ok_or_else(|| self.err("non-scalar \\u escape"))?;
+                                out.push(c);
+                            }
+                            _ => return Err(self.err("unknown escape")),
+                        }
+                    }
+                    _ => {
+                        // Recover full UTF-8 sequences from the byte stream.
+                        let start = self.pos - 1;
+                        let len = utf8_len(b).ok_or_else(|| self.err("invalid UTF-8"))?;
+                        let end = start + len;
+                        let s = self
+                            .bytes
+                            .get(start..end)
+                            .and_then(|bs| std::str::from_utf8(bs).ok())
+                            .ok_or_else(|| self.err("invalid UTF-8"))?;
+                        out.push_str(s);
+                        self.pos = end;
+                    }
+                }
+            }
+        }
+
+        fn number(&mut self) -> Result<Json, JsonError> {
+            let start = self.pos;
+            if self.peek() == Some(b'-') {
+                self.pos += 1;
+            }
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+            let mut is_float = false;
+            if self.peek() == Some(b'.') {
+                is_float = true;
+                self.pos += 1;
+                while matches!(self.peek(), Some(b'0'..=b'9')) {
+                    self.pos += 1;
+                }
+            }
+            if matches!(self.peek(), Some(b'e' | b'E')) {
+                is_float = true;
+                self.pos += 1;
+                if matches!(self.peek(), Some(b'+' | b'-')) {
+                    self.pos += 1;
+                }
+                while matches!(self.peek(), Some(b'0'..=b'9')) {
+                    self.pos += 1;
+                }
+            }
+            let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
+            if is_float {
+                text.parse::<f64>()
+                    .map(Json::Float)
+                    .map_err(|_| self.err(format!("invalid number `{}`", clip_echo(text))))
+            } else if let Some(stripped) = text.strip_prefix('-') {
+                if stripped.is_empty() {
+                    return Err(self.err("lone `-` is not a number"));
+                }
+                text.parse::<i128>()
+                    .map(Json::Int)
+                    .map_err(|_| self.err(format!("integer out of range `{}`", clip_echo(text))))
+            } else if text.is_empty() {
+                Err(self.err("expected a number"))
+            } else {
+                text.parse::<u128>()
+                    .map(Json::UInt)
+                    .map_err(|_| self.err(format!("integer out of range `{}`", clip_echo(text))))
+            }
+        }
+    }
+
+    fn utf8_len(first: u8) -> Option<usize> {
+        match first {
+            0x00..=0x7f => Some(1),
+            0xc0..=0xdf => Some(2),
+            0xe0..=0xef => Some(3),
+            0xf0..=0xf7 => Some(4),
+            _ => None,
+        }
+    }
+
+    /// The production parser against this one.
+    mod tests {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        use super::super::{Json, MAX_DEPTH};
+
+        /// Both parsers' results, rendered: values and errors (message and
+        /// offset) must match exactly, and `Debug` tells `-0.0` from `0.0`.
+        fn assert_same(line: &str) {
+            let got = format!("{:?}", Json::parse(line));
+            let want = format!("{:?}", super::parse(line));
+            assert_eq!(got, want, "on {line:?}");
+        }
+
+        /// Every string literal in a Rust source file that starts like a JSON
+        /// document (`{` or `[`), with Rust's escapes decoded: the pinned
+        /// wire, journal and checkpoint lines of the serve tests. Comments and
+        /// char literals are skipped so a stray quote cannot desynchronize.
+        fn json_literals(src: &str) -> Vec<String> {
+            let c: Vec<char> = src.chars().collect();
+            let mut out = Vec::new();
+            let mut i = 0;
+            while i < c.len() {
+                let prev_ident = i > 0 && (c[i - 1].is_alphanumeric() || c[i - 1] == '_');
+                if c[i] == '/' && c.get(i + 1) == Some(&'/') {
+                    while i < c.len() && c[i] != '\n' {
+                        i += 1;
+                    }
+                } else if c[i] == '\'' {
+                    // `'x'`, `'\x'`, `'\u{..}'`; a lifetime has no closing quote.
+                    if c.get(i + 1) == Some(&'\\') {
+                        i += 3;
+                        while i < c.len() && c[i] != '\'' {
+                            i += 1;
+                        }
+                        i += 1;
+                    } else if c.get(i + 2) == Some(&'\'') {
+                        i += 3;
+                    } else {
+                        i += 1;
+                    }
+                } else if c[i] == 'r' && !prev_ident && matches!(c.get(i + 1), Some('"' | '#')) {
+                    let mut j = i + 1;
+                    while c.get(j) == Some(&'#') {
+                        j += 1;
+                    }
+                    let hashes = j - i - 1;
+                    if c.get(j) != Some(&'"') {
+                        i = j;
+                        continue;
+                    }
+                    let body = j + 1;
+                    let mut k = body;
+                    while k < c.len()
+                        && !(c[k] == '"' && (1..=hashes).all(|h| c.get(k + h) == Some(&'#')))
+                    {
+                        k += 1;
+                    }
+                    out.push(c[body..k.min(c.len())].iter().collect());
+                    i = k + 1 + hashes;
+                } else if c[i] == '"' {
+                    let mut s = String::new();
+                    let mut j = i + 1;
+                    while j < c.len() && c[j] != '"' {
+                        if c[j] != '\\' {
+                            s.push(c[j]);
+                            j += 1;
+                            continue;
+                        }
+                        j += 1;
+                        match c.get(j) {
+                            Some('n') => s.push('\n'),
+                            Some('t') => s.push('\t'),
+                            Some('r') => s.push('\r'),
+                            Some('0') => s.push('\0'),
+                            Some('u') => {
+                                let close =
+                                    c[j..].iter().position(|&x| x == '}').map_or(j, |p| j + p);
+                                let hex: String =
+                                    c.get(j + 2..close).unwrap_or(&[]).iter().collect();
+                                s.extend(
+                                    u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32),
+                                );
+                                j = close;
+                            }
+                            Some('\n') => {
+                                while c.get(j + 1).is_some_and(|x| x.is_whitespace()) {
+                                    j += 1;
+                                }
+                            }
+                            Some(&x) => s.push(x),
+                            None => {}
+                        }
+                        j += 1;
+                    }
+                    out.push(s);
+                    i = j + 1;
+                } else {
+                    i += 1;
+                }
+            }
+            out.retain(|s| s.starts_with('{') || s.starts_with('['));
+            out
+        }
+
+        /// The pinned lines of the serve crate's tests and sources, and the
+        /// trace golden's JSON lines.
+        fn committed_lines() -> Vec<String> {
+            let mut lines = Vec::new();
+            // Miri interprets every byte; the wire corpus alone keeps it quick.
+            let files = if cfg!(miri) { 1 } else { usize::MAX };
+            for src in [
+                include_str!("../../serve/tests/wire_bytes.rs"),
+                include_str!("../../serve/tests/lifecycle.rs"),
+                include_str!("../../serve/tests/journal_replay.rs"),
+                include_str!("../../serve/tests/checkpoint_digests.rs"),
+                include_str!("../../serve/tests/e2e.rs"),
+                include_str!("../../serve/src/protocol.rs"),
+                include_str!("../../serve/src/journal.rs"),
+            ]
+            .into_iter()
+            .take(files)
+            {
+                lines.extend(json_literals(src));
+            }
+            lines.extend(
+                include_str!("../../trace/tests/golden/tiny.jsonl")
+                    .lines()
+                    .map(str::to_string),
+            );
+            lines
+        }
+
+        #[test]
+        fn literal_extraction_finds_the_pinned_lines() {
+            let src = include_str!("../../serve/tests/wire_bytes.rs");
+            let valid = json_literals(src)
+                .iter()
+                .filter(|l| super::parse(l).is_ok())
+                .count();
+            // 25 replies + 17 journal records, plus the counter object.
+            assert!(valid >= 43, "only {valid} parseable literals");
+            let escaped = json_literals(r##"x = "{\"a\":\"\\u0001é\"}"; y = r#"[1]"#;"##);
+            assert_eq!(escaped, ["{\"a\":\"\\u0001é\"}", "[1]"]);
+        }
+
+        #[test]
+        fn parsers_agree_on_every_committed_line() {
+            let lines = committed_lines();
+            assert!(
+                lines.len() > if cfg!(miri) { 40 } else { 100 },
+                "{} lines",
+                lines.len()
+            );
+            for line in &lines {
+                assert_same(line);
+            }
+        }
+
+        #[test]
+        fn parsers_agree_on_edge_cases() {
+            let cases = [
+                "0",
+                "-0",
+                "00",
+                "01",
+                "-01",
+                "1.",
+                ".5",
+                "-.5",
+                "1e",
+                "1e+",
+                "1E-2",
+                "-",
+                "--1",
+                "9999999999999999999",
+                "10000000000000000000",
+                "-9999999999999999999",
+                "-10000000000000000000",
+                "18446744073709551615",
+                "18446744073709551616",
+                "340282366920938463463374607431768211455",
+                "340282366920938463463374607431768211456",
+                "-170141183460469231731687303715884105728",
+                "-170141183460469231731687303715884105729",
+                "\"\"",
+                "\"",
+                "\"\\",
+                "\"\\u",
+                "\"\\u00\"",
+                "\"\\u+041\"",
+                "\"\\u00é\"",
+                "\"\\u0é\"",
+                "\"\\ud800\"",
+                "\"\\x\"",
+                "\"é\\n✓\"",
+                "\"\u{1}\t\"",
+                "\"a\\\"b\"",
+                "\"\\/\\b\\f\\r\"",
+                "{}",
+                "{ }",
+                "[]",
+                "[ ]",
+                "[1,]",
+                "{\"a\":1,}",
+                "{\"a\" 1}",
+                "{1:2}",
+                "{\"a\":1 \"b\":2}",
+                "nul",
+                "truex",
+                "false ",
+                " \n[null,true,false]\r\n",
+                "{\"a\":{\"a\":{\"a\":1}}}",
+                "{\"a\":1,\"b\":2,\"a\":3}",
+                "{\"\\u0061\":1,\"a\":2}",
+                "[\"x\",{\"y\":[1,-2,3.5]}]",
+                "é",
+            ];
+            for line in cases {
+                assert_same(line);
+            }
+            let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+            assert_same(&nested(MAX_DEPTH));
+            assert_same(&nested(MAX_DEPTH + 1));
+            assert_same(&("{\"k\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH)));
+        }
+
+        /// An object of many distinct keys takes the ordered-set path, and a
+        /// duplicate at its very end is still caught, with the same error.
+        #[test]
+        fn wide_objects_agree() {
+            let keys = if cfg!(miri) { 300 } else { 100_000 };
+            let mut line = String::from("{");
+            for i in 0..keys {
+                line.push_str(&format!("\"k{i}\":{i},"));
+            }
+            line.push_str("\"\\u006b7\":true}");
+            let Json::Obj(fields) = Json::parse(&line.replace("\\u006b7", "last")).unwrap() else {
+                panic!("not an object");
+            };
+            assert_eq!(fields.len(), keys + 1);
+            let err = Json::parse(&line).unwrap_err();
+            assert!(err.message.contains("duplicate object key `k7`"), "{err}");
+            assert_same(&line);
+        }
+
+        /// Bytes the mutations insert: every structural byte, number and
+        /// literal letters, escapes, a control byte and half of `é`.
+        const ALPHABET: &[u8] = b"\"\\{}[]:,-+.0123456789eEuntrfals/ \t\n\x01\xc3\xa9";
+
+        /// One seeded mutation of `line`: up to three edits of delete, insert,
+        /// replace, truncate, repeat a `,`-field (a duplicate key in most
+        /// objects) or copy a slice elsewhere, sometimes nested near the depth
+        /// cap. Invalid UTF-8 becomes U+FFFD, as `read_line` would refuse it.
+        fn mutate(rng: &mut StdRng, line: &str) -> String {
+            let mut b = line.as_bytes().to_vec();
+            let pick = |rng: &mut StdRng| ALPHABET[rng.gen_range(0..ALPHABET.len())];
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let at = rng.gen_range(0..=b.len());
+                match rng.gen_range(0..6u32) {
+                    0 if at < b.len() => {
+                        b.remove(at);
+                    }
+                    1 => b.insert(at, pick(rng)),
+                    2 if at < b.len() => b[at] = pick(rng),
+                    3 => b.truncate(at),
+                    4 => {
+                        let Some(p) = b[at..].iter().position(|&x| x == b',').map(|p| at + p)
+                        else {
+                            continue;
+                        };
+                        let q = b[p + 1..]
+                            .iter()
+                            .position(|&x| matches!(x, b',' | b'}' | b']'))
+                            .map_or(b.len(), |q| p + 1 + q);
+                        let field = b[p..q].to_vec();
+                        b.splice(q..q, field);
+                    }
+                    _ => {
+                        let from = rng.gen_range(0..=b.len());
+                        let to = rng.gen_range(from..=b.len().min(from + 16));
+                        let slice = b[from..to].to_vec();
+                        b.splice(at..at, slice);
+                    }
+                }
+            }
+            if rng.gen_range(0..16u32) == 0 {
+                let depth = rng.gen_range(MAX_DEPTH - 2..=MAX_DEPTH + 1);
+                let mut nested = vec![b'['; depth];
+                nested.extend_from_slice(&b);
+                nested.extend(std::iter::repeat_n(b']', depth));
+                b = nested;
+            }
+            String::from_utf8_lossy(&b).into_owned()
+        }
+
+        /// Runs `cases` seeded mutations of the committed lines through both
+        /// parsers; returns how many of them were valid JSON.
+        fn mutation_sweep(seed: u64, cases: usize) -> usize {
+            let seeds: Vec<String> = committed_lines()
+                .into_iter()
+                .filter(|l| super::parse(l).is_ok())
+                .collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut valid = 0;
+            for _ in 0..cases {
+                let seed_line = &seeds[rng.gen_range(0..seeds.len())];
+                let line = mutate(&mut rng, seed_line);
+                assert_same(&line);
+                valid += usize::from(Json::parse(&line).is_ok());
+            }
+            valid
+        }
+
+        #[test]
+        fn parsers_agree_on_mutated_lines() {
+            let cases = if cfg!(miri) { 40 } else { 20_000 };
+            let valid = mutation_sweep(2017, cases);
+            // The sweep must reach both outcomes, not only errors.
+            assert!(valid > 0 && valid < cases, "{valid} of {cases} valid");
+        }
+
+        /// The long sweep CI runs in release (`--ignored`).
+        #[test]
+        #[ignore = "long sweep; CI runs it in release"]
+        fn parsers_agree_on_a_long_mutation_sweep() {
+            for seed in 0..4 {
+                mutation_sweep(seed, 100_000);
+            }
+        }
     }
 }

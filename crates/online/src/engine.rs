@@ -903,6 +903,15 @@ impl<P: Probe> EngineSession<P> {
         for &id in &snapshot.waiting {
             waiting.push(place(id, "waiting job not in submission record")?);
         }
+        // The schedulers read the queue in this order (`queue_in` borrows
+        // it for release order), so a reordered queue would decide
+        // differently from the session that was checkpointed.
+        if waiting
+            .windows(2)
+            .any(|w| (w[0].release, w[0].id) >= (w[1].release, w[1].id))
+        {
+            return Err(corrupt("waiting queue not in (release, id) order"));
+        }
         let mut machines: Vec<MachineState> = Vec::with_capacity(snapshot.machines.len());
         let mut pending_reservations = 0usize;
         for ms in &snapshot.machines {
@@ -1743,6 +1752,24 @@ mod tests {
             restored.snapshot().trace.last().map(|(_, r)| r.as_str()),
             Some("calibrate")
         );
+    }
+
+    /// The waiting queue is kept in `(release, id)` order and Algorithm 3
+    /// reserves in that order, so a snapshot listing it any other way
+    /// would restore into a session that decides differently.
+    #[test]
+    fn restore_rejects_a_reordered_waiting_queue() {
+        let mut session = EngineSession::new(2, 4, 40, EngineConfig::default()).unwrap();
+        let jobs: Vec<Job> = (0..3).map(|i| Job::unweighted(i, i64::from(i))).collect();
+        session.step(2, &jobs, &mut crate::Alg3::new()).unwrap();
+        let good = session.snapshot();
+        assert_eq!(good.waiting, [JobId(0), JobId(1), JobId(2)]);
+        assert!(EngineSession::restore(&good, NoopProbe).is_ok());
+
+        let mut reversed = good;
+        reversed.waiting.reverse();
+        let err = EngineSession::restore(&reversed, NoopProbe).err();
+        assert_eq!(err.map(|e| e.code()), Some("corrupt-snapshot"));
     }
 
     /// Restore rebuilds the history log from the snapshot, so a snapshot

@@ -201,10 +201,9 @@ impl Request {
     /// Errors are `(code, message)` pairs ready for an error reply.
     pub fn from_json(v: &Json) -> Result<Request, (&'static str, String)> {
         let bad = |msg: String| ("bad-message", msg);
-        let obj_str = |key: &str| -> Result<String, (&'static str, String)> {
+        let obj_str = |key: &str| {
             v.get(key)
                 .and_then(Json::as_str)
-                .map(str::to_string)
                 .ok_or_else(|| bad(format!("missing or non-string field `{key}`")))
         };
         let obj_u64 = |key: &str| -> Result<u64, (&'static str, String)> {
@@ -227,15 +226,15 @@ impl Request {
         if ty == "metrics" {
             return Ok(Request::Metrics { seq });
         }
-        let tenant = obj_str("tenant")?;
-        match ty.as_str() {
+        let tenant = obj_str("tenant")?.to_string();
+        match ty {
             "hello" => Ok(Request::Hello {
                 tenant,
                 machines: usize::try_from(obj_u64("machines")?)
                     .map_err(|_| bad("`machines` out of range".to_string()))?,
                 cal_len: obj_i64("cal_len")?,
                 cal_cost: Cost::from(obj_u64("cal_cost")?),
-                algorithm: obj_str("algorithm")?,
+                algorithm: obj_str("algorithm")?.to_string(),
                 weight: v.get("weight").and_then(Json::as_u64).unwrap_or(1).max(1),
                 seq,
             }),
